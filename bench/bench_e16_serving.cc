@@ -23,7 +23,7 @@
 //                         writes a Chrome trace_event JSON to FILE — load
 //                         it in https://ui.perfetto.dev. Degraded reads
 //                         appear as GetRegion roots nesting the failing
-//                         tile_store.decode span.
+//                         tile_store.validate span.
 //   --metrics-format=F    final metrics dump format: text (default),
 //                         prom (Prometheus exposition), or json.
 // The run always reports the service's recent structured events (with

@@ -322,9 +322,16 @@ LatencyPair MeasureGetTileLatency(uint16_t port,
 /// identical GetRegions must collapse into one computation.
 bool RunCoalesceDemo(const MapService& service, size_t k,
                      uint64_t* computations_delta, uint64_t* coalesced) {
+  // A probability-1.0 delay at the compute site widens the in-flight
+  // window.
+  FaultInjector slow(0xC0A1);
+  slow.AddPolicy({.site = TileServer::kComputeFaultSite,
+                  .kind = FaultKind::kDelay,
+                  .probability = 1.0,
+                  .delay_ms = 100});
   TileServer::Options opt;
   opt.worker_threads = 4;
-  opt.handler_delay_ms_for_test = 100;  // Widens the in-flight window.
+  opt.fault_injector = &slow;
   TileServer server(service, opt);
   if (!server.Start().ok()) return false;
   // The server shares the service's registry, so read deltas — the load

@@ -113,12 +113,12 @@ int Run() {
   std::printf("    Build: %.1f ms @1 thread, %.1f ms @%zu threads (%.2fx)\n",
               build_1 * 1e3, build_n * 1e3, nthreads, build_1 / build_n);
 
-  // Determinism guarantee: identical bytes regardless of thread count.
+  // Determinism gate: identical v3 tile bytes regardless of thread count.
   TileStore s1(TileStore::Options{.tile_size_m = 256.0});
   TileStore sn(TileStore::Options{.tile_size_m = 256.0});
   if (!s1.Build(map, 1).ok() || !sn.Build(map, nthreads).ok()) return 1;
   bool deterministic = s1.RawTilesCopy() == sn.RawTilesCopy();
-  std::printf("    Build bytes 1 vs %zu threads: %s\n", nthreads,
+  std::printf("    v3 Build bytes 1 vs %zu threads: %s\n", nthreads,
               deterministic ? "identical" : "DIFFER");
 
   // Repeated LoadRegion over hot tiles: first pass deserializes and fills
@@ -143,29 +143,21 @@ int Run() {
       cold_s * 1e3, hot_s * 1e3, cold_s / hot_s, stats.cache_hits,
       stats.cache_misses);
 
-  // --- Tile format v3: zero-copy views vs the legacy v1 decode. ---
-  std::printf("  tile format v3 (offset-table views) vs legacy v1 decode:\n");
-  TileStore v1_store(TileStore::Options{.tile_size_m = 256.0,
-                                        .format = TileFormat::kLegacyV1});
-  TileStore v3_store(TileStore::Options{.tile_size_m = 256.0,
-                                        .format = TileFormat::kFlatV3});
-  if (!v1_store.Build(map, nthreads).ok() ||
-      !v3_store.Build(map, nthreads).ok()) {
-    return 1;
-  }
-  auto in_box = v3_store.TilesInBox(hot_box);
+  // --- Zero-copy views vs full decode, over the same tiles. ---
+  std::printf("  tile views (offset tables read in place) vs full decode:\n");
+  auto in_box = serving.TilesInBox(hot_box);
   if (!in_box.ok()) return 1;
 
-  // Cold "LoadRegion to first geometry": how long from untouched bytes
-  // to geometry in hand, across every tile in the region. v1 must decode
-  // each tile in full; v3 validates the offset tables and reads the
-  // first centerline point in place. Fresh store copies each rep keep
-  // both caches cold.
+  // Cold "region to first geometry": how long from untouched bytes to
+  // geometry in hand, across every tile in the region. LoadTile validates
+  // each tile and then materializes it in full; GetTileView validates the
+  // offset tables and reads the first centerline point in place. Fresh
+  // store copies each rep keep every cache cold.
   constexpr int kColdReps = 5;
   double sink = 0.0;  // Defeats dead-code elimination.
-  bench::Timer v1_cold_timer;
+  bench::Timer decode_cold_timer;
   for (int rep = 0; rep < kColdReps; ++rep) {
-    TileStore cold_store = v1_store;
+    TileStore cold_store = serving;
     for (const TileId& id : *in_box) {
       auto tile = cold_store.LoadTile(id);
       if (!tile.ok()) return 1;
@@ -174,10 +166,10 @@ int Run() {
       }
     }
   }
-  double v1_cold_s = v1_cold_timer.Seconds() / kColdReps;
-  bench::Timer v3_cold_timer;
+  double decode_cold_s = decode_cold_timer.Seconds() / kColdReps;
+  bench::Timer view_cold_timer;
   for (int rep = 0; rep < kColdReps; ++rep) {
-    TileStore cold_store = v3_store;
+    TileStore cold_store = serving;
     for (const TileId& id : *in_box) {
       auto view = cold_store.GetTileView(id);
       if (!view.ok()) return 1;
@@ -186,31 +178,29 @@ int Run() {
       }
     }
   }
-  double v3_cold_s = v3_cold_timer.Seconds() / kColdReps;
-  double v3_speedup = v3_cold_s > 0.0 ? v1_cold_s / v3_cold_s : 0.0;
+  double view_cold_s = view_cold_timer.Seconds() / kColdReps;
+  double view_speedup = view_cold_s > 0.0 ? decode_cold_s / view_cold_s : 0.0;
   std::printf(
-      "    cold region to first geometry: v1 %.2f ms, v3 %.3f ms (%.0fx)\n",
-      v1_cold_s * 1e3, v3_cold_s * 1e3, v3_speedup);
+      "    cold region to first geometry: LoadTile %.2f ms, GetTileView "
+      "%.3f ms (%.1fx)\n",
+      decode_cold_s * 1e3, view_cold_s * 1e3, view_speedup);
 
   // Bytes served verbatim: the network GetTile path ships the pinned
-  // frame bytes untouched (CRC travels inside), vs re-decoding per
-  // request. Throughput over every tile in the region.
+  // frame bytes untouched (CRC travels inside), vs validating and
+  // materializing per request. Throughput over every tile in the region.
   constexpr int kServeReps = 20;
   size_t verbatim_bytes = 0;
   bench::Timer verbatim_timer;
   for (int rep = 0; rep < kServeReps; ++rep) {
     for (const TileId& id : *in_box) {
-      auto bytes = v3_store.RawTileBytes(id);
+      auto bytes = serving.RawTileBytes(id);
       if (!bytes.ok()) return 1;
       verbatim_bytes += bytes->size();
       sink += static_cast<double>(bytes->data()[0]);
     }
   }
   double verbatim_s = verbatim_timer.Seconds();
-  TileStore decode_store(TileStore::Options{
-      .tile_size_m = 256.0, .cache_capacity = 0,
-      .format = TileFormat::kLegacyV1});
-  if (!decode_store.Build(map, nthreads).ok()) return 1;
+  TileStore decode_store = serving;  // Cold copy: every LoadTile misses.
   size_t decoded_bytes = 0;
   bench::Timer decode_timer;
   for (const TileId& id : *in_box) {
@@ -222,18 +212,9 @@ int Run() {
   double decode_s = decode_timer.Seconds();
   std::printf(
       "    bytes served verbatim: %.1f GB/s pinned (%zu tiles/rep); "
-      "decode path %.3f GB/s\n",
+      "decode path %.3f GB/s  (sink %.1f)\n\n",
       verbatim_bytes / 1e9 / verbatim_s, in_box->size(),
-      decoded_bytes / 1e9 / decode_s);
-
-  // Determinism gate now covers v3: byte-identical tiles across thread
-  // counts, and EncodeTileV3 round-trips through the view Materialize.
-  TileStore v3_serial(TileStore::Options{.tile_size_m = 256.0,
-                                         .format = TileFormat::kFlatV3});
-  if (!v3_serial.Build(map, 1).ok()) return 1;
-  bool v3_deterministic = v3_serial.RawTilesCopy() == v3_store.RawTilesCopy();
-  std::printf("    v3 bytes 1 vs %zu threads: %s  (sink %.1f)\n\n", nthreads,
-              v3_deterministic ? "identical" : "DIFFER", sink);
+      decoded_bytes / 1e9 / decode_s, sink);
 
   // --- Durability: checkpoint write, cold recovery, WAL ack overhead. ---
   namespace fsys = std::filesystem;
@@ -315,22 +296,19 @@ int Run() {
   if (cold_s / hot_s < 2.0) {
     std::printf("  WARNING: hot LoadRegion speedup below 2x target\n");
   }
-  if (v3_speedup < 3.0) {
+  // Both sides pay the same frame CRC, so the view's edge is the skipped
+  // Materialize alone.
+  if (view_speedup < 2.0) {
     std::printf(
-        "  WARNING: v3 cold-to-first-geometry speedup below 3x target\n");
+        "  WARNING: view cold-to-first-geometry speedup below 2x target\n");
   }
   if (!deterministic) {
-    std::printf("  FAIL: Build output differs across thread counts\n");
-  }
-  if (!v3_deterministic) {
     std::printf("  FAIL: v3 tile bytes differ across thread counts\n");
   }
   if (!recovery_identical) {
     std::printf("  FAIL: recovered checkpoint bytes differ from source\n");
   }
-  return routed && deterministic && v3_deterministic && recovery_identical
-             ? 0
-             : 1;
+  return routed && deterministic && recovery_identical ? 0 : 1;
 }
 
 }  // namespace

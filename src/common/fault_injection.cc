@@ -1,5 +1,8 @@
 #include "common/fault_injection.h"
 
+#include <chrono>
+#include <thread>
+
 #include "common/metrics.h"
 
 namespace hdmap {
@@ -75,7 +78,8 @@ bool FaultInjector::MaybeCorrupt(std::string_view site,
   std::shared_lock<std::shared_mutex> policy_lock(policy_mu_);
   for (size_t pi = 0; pi < policies_.size(); ++pi) {
     const FaultPolicy& policy = policies_[pi];
-    if (policy.kind == FaultKind::kFailStatus || policy.site != site) {
+    if (policy.kind == FaultKind::kFailStatus ||
+        policy.kind == FaultKind::kDelay || policy.site != site) {
       continue;
     }
     uint64_t h = Mix(HashBytes(HashBytes(kFnvOffset + pi, site), payload));
@@ -113,6 +117,7 @@ bool FaultInjector::MaybeCorrupt(std::string_view site,
         }
         break;
       case FaultKind::kFailStatus:
+      case FaultKind::kDelay:
         break;  // Unreachable; filtered above.
     }
     CountInjection(site);
@@ -121,31 +126,52 @@ bool FaultInjector::MaybeCorrupt(std::string_view site,
   return false;
 }
 
-Status FaultInjector::MaybeFail(std::string_view site) {
-  std::shared_lock<std::shared_mutex> policy_lock(policy_mu_);
+const FaultPolicy* FaultInjector::FireControlPlane(std::string_view site,
+                                                   FaultKind kind,
+                                                   uint64_t* call_index) {
   for (size_t pi = 0; pi < policies_.size(); ++pi) {
     const FaultPolicy& policy = policies_[pi];
-    if (policy.kind != FaultKind::kFailStatus || policy.site != site) {
-      continue;
-    }
-    uint64_t call_index;
+    if (policy.kind != kind || policy.site != site) continue;
     {
       std::lock_guard<std::mutex> lock(mu_);
       auto it = fail_calls_.find(site);
       if (it == fail_calls_.end()) {
         it = fail_calls_.emplace(std::string(site), 0).first;
       }
-      call_index = it->second++;
+      *call_index = it->second++;
     }
     uint64_t h = Mix(HashBytes(kFnvOffset + pi, site) ^
-                     (call_index * 0x9e3779b97f4a7c15ull));
+                     (*call_index * 0x9e3779b97f4a7c15ull));
     if (HashToUnit(h) >= policy.probability) continue;
     CountInjection(site);
-    return Status(policy.fail_code,
-                  "injected fault at " + std::string(site) + " (call " +
-                      std::to_string(call_index) + ")");
+    return &policy;
   }
-  return Status::Ok();
+  return nullptr;
+}
+
+Status FaultInjector::MaybeFail(std::string_view site) {
+  std::shared_lock<std::shared_mutex> policy_lock(policy_mu_);
+  uint64_t call_index = 0;
+  const FaultPolicy* policy =
+      FireControlPlane(site, FaultKind::kFailStatus, &call_index);
+  if (policy == nullptr) return Status::Ok();
+  return Status(policy->fail_code,
+                "injected fault at " + std::string(site) + " (call " +
+                    std::to_string(call_index) + ")");
+}
+
+void FaultInjector::MaybeDelay(std::string_view site) {
+  uint32_t delay_ms = 0;
+  {
+    std::shared_lock<std::shared_mutex> policy_lock(policy_mu_);
+    uint64_t call_index = 0;
+    const FaultPolicy* policy =
+        FireControlPlane(site, FaultKind::kDelay, &call_index);
+    if (policy == nullptr) return;
+    delay_ms = policy->delay_ms;
+  }
+  // Outside the policy lock: a chaos harness can re-arm while we sleep.
+  std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
 }
 
 uint64_t FaultInjector::InjectedCount(std::string_view site) const {

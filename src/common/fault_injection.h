@@ -27,26 +27,33 @@ enum class FaultKind : uint8_t {
   /// tail reads back as stale or scribbled sectors rather than a short
   /// file (that is kTruncate).
   kTornWrite,
+  /// Sleep `delay_ms` before the instrumented step runs (MaybeDelay).
+  /// Widens a layer's latency window so tests and benches can pile up
+  /// concurrent requests or attribute a slow request to one layer.
+  kDelay,
 };
 
 /// One armed fault: at `site`, with probability `probability` per call,
-/// apply `kind`. Data-plane kinds (kBitFlip/kTruncate/kDrop) apply to
-/// MaybeCorrupt; kFailStatus applies to MaybeFail with `fail_code`.
+/// apply `kind`. Data-plane kinds (kBitFlip/kTruncate/kDrop/kTornWrite)
+/// apply to MaybeCorrupt; kFailStatus applies to MaybeFail with
+/// `fail_code`; kDelay applies to MaybeDelay with `delay_ms`.
 struct FaultPolicy {
   std::string site;
   FaultKind kind = FaultKind::kBitFlip;
   double probability = 0.0;
   StatusCode fail_code = StatusCode::kInternal;
+  uint32_t delay_ms = 0;
 };
 
-/// Deterministic fault injector for corruption and failure testing: the
-/// seams TileStore and MapService expose so tests and benches can corrupt
-/// tile loads and fail publishes on demand, reproducibly.
+/// Deterministic fault injector for corruption, failure and latency
+/// testing: the seams TileStore, MapService and TileServer expose so tests
+/// and benches can corrupt tile loads, fail publishes and slow requests on
+/// demand, reproducibly.
 ///
 /// Determinism: data-plane decisions (and the mutation itself) are a pure
 /// function of (seed, site, payload bytes) — not of call order — so the
 /// same store corrupts the same tiles no matter how many threads load
-/// them or in what order. Control-plane decisions (MaybeFail) hash
+/// them or in what order. Control-plane decisions (MaybeFail/MaybeDelay) hash
 /// (seed, site, per-site call index); call sites like Publish are
 /// serialized by their caller, so the index is deterministic there.
 ///
@@ -81,6 +88,11 @@ class FaultInjector {
   /// when a kFailStatus policy for `site` fires, else OK.
   Status MaybeFail(std::string_view site);
 
+  /// Latency hook. Sleeps the policy's delay_ms when a kDelay policy for
+  /// `site` fires. Decided like MaybeFail, from (seed, site, per-site
+  /// call index).
+  void MaybeDelay(std::string_view site);
+
   /// Faults injected so far at `site` (both planes).
   uint64_t InjectedCount(std::string_view site) const;
 
@@ -92,6 +104,12 @@ class FaultInjector {
  private:
   uint64_t Mix(uint64_t h) const;
   void CountInjection(std::string_view site);
+  /// The control-plane decision behind MaybeFail and MaybeDelay: the
+  /// first `kind` policy for `site` that fires on this call (counted as
+  /// an injection), or null. `*call_index` receives the site's call
+  /// index. Caller holds policy_mu_.
+  const FaultPolicy* FireControlPlane(std::string_view site, FaultKind kind,
+                                      uint64_t* call_index);
 
   uint64_t seed_;
   mutable std::shared_mutex policy_mu_;  // Guards policies_.

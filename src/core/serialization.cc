@@ -17,14 +17,6 @@ constexpr uint32_t kFullMagic = 0x48444d46;     // "HDMF"
 constexpr uint32_t kCompactMagic = 0x48444d43;  // "HDMC"
 constexpr uint32_t kVersion = 1;
 
-/// Strips and verifies the checksummed frame when `data` carries one;
-/// bare buffers (the pre-frame wire format) pass through untouched so
-/// legacy blobs keep deserializing.
-Result<std::string_view> FramePayload(std::string_view data) {
-  if (IsFramed(data)) return UnwrapFrame(data);
-  return data;
-}
-
 void WriteLineString(BufferWriter& w, const LineString& ls) {
   w.WriteU32(static_cast<uint32_t>(ls.size()));
   for (const Vec2& p : ls.points()) {
@@ -264,16 +256,17 @@ std::string SerializeMap(const HdMap& map) {
 }
 
 Result<HdMap> DeserializeMap(std::string_view data) {
-  HDMAP_ASSIGN_OR_RETURN(std::string_view payload, FramePayload(data));
-  // Version dispatch on the payload magic: v3 payloads are validated and
+  HDMAP_ASSIGN_OR_RETURN(std::string_view payload, UnwrapFrame(data));
+  // Dispatch on the payload magic: v3 tiles are validated and
   // materialized by the view machinery (the frame CRC was just checked
   // above, so Create only runs the structural pass); everything else
-  // falls through to the v1 decoder below.
+  // falls through to the full-map decoder below.
   if (payload.size() >= sizeof(uint32_t)) {
     uint32_t magic = 0;
     std::memcpy(&magic, payload.data(), sizeof(magic));
     if (magic == kTileV3Magic) {
-      HDMAP_ASSIGN_OR_RETURN(TileView view, TileView::Create(payload));
+      HDMAP_ASSIGN_OR_RETURN(TileView view,
+                             TileView::Create(data, FrameChecksum::kTrust));
       return view.Materialize();
     }
   }
@@ -426,7 +419,7 @@ std::string SerializeCompactMap(const HdMap& map,
 }
 
 Result<HdMap> DeserializeCompactMap(std::string_view data) {
-  HDMAP_ASSIGN_OR_RETURN(std::string_view payload, FramePayload(data));
+  HDMAP_ASSIGN_OR_RETURN(std::string_view payload, UnwrapFrame(data));
   BufferReader r(payload);
   if (r.ReadU32() != kCompactMagic) {
     return Status::DataLoss("bad magic: not a compact map buffer");
@@ -494,15 +487,15 @@ Result<HdMap> DeserializeCompactMap(std::string_view data) {
 
 namespace {
 constexpr uint32_t kPatchMagic = 0x48444d50;  // "HDMP"
+// Version 2 added the relational-layer sections (updated/removed lanelets
+// and regulatory elements); every persisted or shipped patch is v2.
+constexpr uint32_t kPatchVersion = 2;
 }  // namespace
 
 std::string SerializePatch(const MapPatch& patch) {
   BufferWriter w;
   w.WriteU32(kPatchMagic);
-  // Version 2 appends the relational-layer sections (updated/removed
-  // lanelets and regulatory elements) after the v1 payload; v1 buffers
-  // are still readable.
-  w.WriteU32(2);
+  w.WriteU32(kPatchVersion);
 
   w.WriteU32(static_cast<uint32_t>(patch.added_landmarks.size()));
   for (const Landmark& lm : patch.added_landmarks) {
@@ -548,13 +541,12 @@ std::string SerializePatch(const MapPatch& patch) {
 }
 
 Result<MapPatch> DeserializePatch(std::string_view data) {
-  HDMAP_ASSIGN_OR_RETURN(std::string_view payload, FramePayload(data));
+  HDMAP_ASSIGN_OR_RETURN(std::string_view payload, UnwrapFrame(data));
   BufferReader r(payload);
   if (r.ReadU32() != kPatchMagic) {
     return Status::DataLoss("bad magic: not a map patch buffer");
   }
-  uint32_t version = r.ReadU32();
-  if (version != 1 && version != 2) {
+  if (r.ReadU32() != kPatchVersion) {
     return Status::DataLoss("unsupported patch version");
   }
   MapPatch patch;
@@ -604,28 +596,26 @@ Result<MapPatch> DeserializePatch(std::string_view data) {
     lf.geometry = LineString(std::move(pts));
     patch.updated_line_features.push_back(std::move(lf));
   }
-  if (version >= 2) {
-    uint32_t num_lanelets = r.ReadU32();
-    GuardedReserve(r, patch.updated_lanelets, num_lanelets, 76);
-    for (uint32_t i = 0; i < num_lanelets && r.ok(); ++i) {
-      patch.updated_lanelets.push_back(ReadLanelet(r));
-    }
-    uint32_t num_removed_lanelets = r.ReadU32();
-    GuardedReserve(r, patch.removed_lanelets, num_removed_lanelets, 8);
-    for (uint32_t i = 0; i < num_removed_lanelets && r.ok(); ++i) {
-      patch.removed_lanelets.push_back(r.ReadI64());
-    }
-    uint32_t num_regs = r.ReadU32();
-    GuardedReserve(r, patch.updated_regulatory_elements, num_regs, 29);
-    for (uint32_t i = 0; i < num_regs && r.ok(); ++i) {
-      patch.updated_regulatory_elements.push_back(ReadRegulatoryElement(r));
-    }
-    uint32_t num_removed_regs = r.ReadU32();
-    GuardedReserve(r, patch.removed_regulatory_elements, num_removed_regs,
-                   8);
-    for (uint32_t i = 0; i < num_removed_regs && r.ok(); ++i) {
-      patch.removed_regulatory_elements.push_back(r.ReadI64());
-    }
+  uint32_t num_lanelets = r.ReadU32();
+  GuardedReserve(r, patch.updated_lanelets, num_lanelets, 76);
+  for (uint32_t i = 0; i < num_lanelets && r.ok(); ++i) {
+    patch.updated_lanelets.push_back(ReadLanelet(r));
+  }
+  uint32_t num_removed_lanelets = r.ReadU32();
+  GuardedReserve(r, patch.removed_lanelets, num_removed_lanelets, 8);
+  for (uint32_t i = 0; i < num_removed_lanelets && r.ok(); ++i) {
+    patch.removed_lanelets.push_back(r.ReadI64());
+  }
+  uint32_t num_regs = r.ReadU32();
+  GuardedReserve(r, patch.updated_regulatory_elements, num_regs, 29);
+  for (uint32_t i = 0; i < num_regs && r.ok(); ++i) {
+    patch.updated_regulatory_elements.push_back(ReadRegulatoryElement(r));
+  }
+  uint32_t num_removed_regs = r.ReadU32();
+  GuardedReserve(r, patch.removed_regulatory_elements, num_removed_regs,
+                 8);
+  for (uint32_t i = 0; i < num_removed_regs && r.ok(); ++i) {
+    patch.removed_regulatory_elements.push_back(r.ReadI64());
   }
   if (!r.ok()) return r.status();
   return patch;

@@ -12,10 +12,9 @@ namespace hdmap {
 // Wire format note: all three serializers emit their payload inside a
 // CRC32-protected frame (core/wire_frame.h), so truncation, bit flips,
 // and splices anywhere in the buffer are detected as kDataLoss at decode
-// time. The deserializers also accept bare pre-frame payloads (the v1/v2
-// legacy format) for backward compatibility. Framing adds a fixed
-// 16-byte header and is deterministic: byte-identical inputs produce
-// byte-identical framed outputs.
+// time. The deserializers accept framed input only: a bare payload is
+// kDataLoss. Framing adds a fixed 16-byte header and is deterministic:
+// byte-identical inputs produce byte-identical framed outputs.
 
 /// Full-fidelity binary serialization of an HdMap (all layers, double
 /// precision, including dense survey payloads attached by the creation
@@ -23,7 +22,8 @@ namespace hdmap {
 /// size Pannen et al. [44] report at ~10 MB/mile.
 std::string SerializeMap(const HdMap& map);
 
-/// Inverse of SerializeMap.
+/// Inverse of SerializeMap. Also decodes a framed v3 tile (EncodeTileV3
+/// output, e.g. a GetRegion reply), dispatching on the payload magic.
 Result<HdMap> DeserializeMap(std::string_view data);
 
 /// Options for the compact vector-map encoding (Li et al. [60]): keep

@@ -3,12 +3,12 @@
 #include <cmath>
 #include <limits>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <shared_mutex>
 
 #include "common/thread_pool.h"
 #include "common/trace.h"
-#include "core/serialization.h"
 
 namespace hdmap {
 
@@ -24,6 +24,10 @@ uint64_t Part1By1(uint32_t x) {
   return v;
 }
 
+std::string TileName(const TileId& id) {
+  return "tile (" + std::to_string(id.x) + "," + std::to_string(id.y) + ")";
+}
+
 }  // namespace
 
 uint64_t TileId::Morton() const {
@@ -35,7 +39,6 @@ uint64_t TileId::Morton() const {
 
 TileStore::TileStore(const Options& options)
     : tile_size_(options.tile_size_m),
-      format_(options.format),
       cache_capacity_(options.cache_capacity),
       faults_(options.fault_injector) {
   if (options.metrics != nullptr) {
@@ -48,7 +51,6 @@ TileStore::TileStore(const Options& options)
 
 TileStore::TileStore(const TileStore& other)
     : tile_size_(other.tile_size_),
-      format_(other.format_),
       tiles_(other.tiles_),
       tile_ids_(other.tile_ids_),
       cache_capacity_(other.cache_capacity_),
@@ -60,7 +62,6 @@ TileStore::TileStore(const TileStore& other)
 TileStore& TileStore::operator=(const TileStore& other) {
   if (this == &other) return *this;
   tile_size_ = other.tile_size_;
-  format_ = other.format_;
   tiles_ = other.tiles_;
   tile_ids_ = other.tile_ids_;
   cache_capacity_ = other.cache_capacity_;
@@ -228,7 +229,7 @@ Status TileStore::Build(const HdMap& map, size_t num_threads) {
   std::vector<std::string> blobs(work.size());
   ParallelFor(
       work.size(),
-      [&](size_t i) { blobs[i] = EncodeBlob(*work[i].second); },
+      [&](size_t i) { blobs[i] = EncodeTileV3(*work[i].second); },
       num_threads);
 
   std::unique_lock<std::shared_mutex> lock(tiles_mu_);
@@ -263,7 +264,7 @@ Status TileStore::RebuildTiles(const HdMap& map,
   std::vector<std::string> blobs(work.size());
   ParallelFor(
       work.size(),
-      [&](size_t i) { blobs[i] = EncodeBlob(*work[i].second); },
+      [&](size_t i) { blobs[i] = EncodeTileV3(*work[i].second); },
       num_threads);
 
   {
@@ -291,7 +292,7 @@ Status TileStore::RebuildTiles(const HdMap& map,
 }
 
 void TileStore::PutTile(const TileId& id, const HdMap& tile_map) {
-  PutRawTile(id, EncodeBlob(tile_map));
+  PutRawTile(id, EncodeTileV3(tile_map));
 }
 
 void TileStore::PutRawTile(const TileId& id, std::string bytes) {
@@ -305,148 +306,120 @@ void TileStore::PutPinnedTile(const TileId& id, PinnedBytes bytes) {
     tile_ids_[id.Morton()] = id;
   }
   // After the bytes, not before: CacheErase bumps the mutation
-  // generation, so any reader still decoding the old payload has observed
-  // an older generation and its verdict is dropped.
+  // generation, so any reader still validating the old payload has
+  // observed an older generation and its verdict is dropped.
   CacheErase(id.Morton());
 }
 
-std::string TileStore::EncodeBlob(const HdMap& tile_map) const {
-  return format_ == TileFormat::kFlatV3 ? EncodeTileV3(tile_map)
-                                        : SerializeMap(tile_map);
-}
-
-Result<std::shared_ptr<const HdMap>> TileStore::LoadTileShared(
-    uint64_t key) const {
-  // Cache hits are deliberately span-free: they are the hot path of every
-  // cached GetRegion (already counted by tile_store.cache_hits), and a
-  // span's two clock reads would cost more than the lookup itself. Spans
-  // cover the slow path only: miss -> raw load -> decode -> quarantine.
-  if (auto cached = CacheLookup(key)) return cached;
-  // Child span of whatever request is loading (GetRegion fans these out
-  // across ParallelFor workers, so they nest under the request's root).
-  TraceSpan span("tile_store.load");
-  if (IsQuarantined(key)) {
-    // Expected repeat of an already-discovered corruption: don't force it
-    // into the ring on every request, or it evicts the decode span that
-    // found the corrupt bytes in the first place.
-    span.SetStatus(StatusCode::kDataLoss, /*force=*/false);
-    return Status::DataLoss("tile key " + std::to_string(key) +
-                            " quarantined after a failed decode");
-  }
-  // Generation first, blob second: if a Put* replaces the bytes after
-  // this load, the verdict below is installed against a stale generation
-  // and dropped (worst case a wasted decode, never a poisoned cache).
-  uint64_t gen = mutation_gen_.load(std::memory_order_acquire);
-  Result<HdMap> tile = Status::Internal("tile not decoded");
+Result<PinnedTileView> TileStore::ValidatedView(const TileId& id,
+                                                bool inject_faults,
+                                                TraceSpan& span,
+                                                uint64_t* gen) const {
+  const uint64_t key = id.Morton();
+  std::optional<PinnedTileView> cached;
   {
-    std::shared_lock<std::shared_mutex> lock(tiles_mu_);
-    std::string_view blob;
-    std::string corrupted;  // Owns injected mutations; empty otherwise.
-    {
-      TraceSpan raw_span("tile_store.raw_load");
+    std::lock_guard<std::mutex> lock(cache_mu_);
+    if (quarantined_.count(key) > 0) {
+      // Expected repeat of an already-discovered corruption: don't force
+      // it into the ring on every request, or it evicts the validate span
+      // that found the corrupt bytes in the first place.
+      span.SetStatus(StatusCode::kDataLoss, /*force=*/false);
+      return Status::DataLoss(TileName(id) +
+                              " quarantined after a failed validation");
+    }
+    // Generation first, blob second: if a Put* replaces the bytes after
+    // this read, the verdicts below are installed against a stale
+    // generation and dropped (worst case a wasted validation, never a
+    // poisoned cache). Sampled under cache_mu_, so a cached view is
+    // always of this generation's bytes.
+    *gen = mutation_gen_.load(std::memory_order_acquire);
+    auto it = view_cache_.find(key);
+    if (it != view_cache_.end()) cached = it->second;
+  }
+  PinnedBytes bytes;
+  bool injected = false;
+  {
+    TraceSpan raw_span("tile_store.raw_load");
+    if (cached.has_value()) {
+      bytes = cached->bytes;
+    } else {
+      std::shared_lock<std::shared_mutex> lock(tiles_mu_);
       auto it = tiles_.find(key);
       if (it == tiles_.end()) {
         raw_span.SetStatus(StatusCode::kNotFound);
         span.SetStatus(StatusCode::kNotFound);
-        return Status::NotFound("tile key " + std::to_string(key));
+        return Status::NotFound(TileName(id));
       }
-      blob = it->second.view();
-      if (faults_ != nullptr &&
-          faults_->MaybeCorrupt(kLoadFaultSite, blob, &corrupted)) {
-        blob = corrupted;
-      }
+      bytes = it->second;  // Pin: valid after the lock drops, forever.
     }
-    TraceSpan decode_span("tile_store.decode");
-    tile = DeserializeMap(blob);
-    if (!tile.ok()) decode_span.SetStatus(tile.status().code());
-  }
-  if (!tile.ok()) {
-    span.SetStatus(tile.status().code());
-    // Corrupt bytes stay corrupt: remember the verdict so every later
-    // load fails fast instead of re-running checksum/decode.
-    if (tile.status().code() == StatusCode::kDataLoss) {
-      TraceSpan quarantine_span("tile_store.quarantine");
-      quarantine_span.SetStatus(StatusCode::kDataLoss);
-      Quarantine(key, gen);
+    std::string corrupted;
+    if (inject_faults && faults_ != nullptr &&
+        faults_->MaybeCorrupt(kLoadFaultSite, bytes.view(), &corrupted)) {
+      bytes = PinnedBytes::FromString(std::move(corrupted));
+      injected = true;
     }
-    return tile.status();
   }
-  auto shared = std::make_shared<const HdMap>(std::move(tile).value());
-  CacheInsert(key, shared, gen);
-  return shared;
-}
-
-Result<HdMap> TileStore::LoadTile(const TileId& id) const {
-  auto tile = LoadTileShared(id.Morton());
-  if (!tile.ok()) {
-    if (tile.status().code() == StatusCode::kNotFound) {
-      return Status::NotFound("tile (" + std::to_string(id.x) + "," +
-                              std::to_string(id.y) + ")");
-    }
-    return tile.status();
-  }
-  return HdMap(**tile);
-}
-
-Result<PinnedTileView> TileStore::GetTileView(const TileId& id) const {
-  const uint64_t key = id.Morton();
-  {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    auto it = view_cache_.find(key);
-    if (it != view_cache_.end()) return it->second;
-  }
-  TraceSpan span("tile_store.view");
-  if (IsQuarantined(key)) {
-    span.SetStatus(StatusCode::kDataLoss, /*force=*/false);
-    return Status::DataLoss("tile key " + std::to_string(key) +
-                            " quarantined after a failed decode");
-  }
-  // Same staleness protocol as LoadTileShared: sample the generation
-  // before the bytes, so a view validated against a replaced payload is
-  // never installed over the new payload's state.
-  uint64_t gen = mutation_gen_.load(std::memory_order_acquire);
-  PinnedBytes bytes;
-  {
-    std::shared_lock<std::shared_mutex> lock(tiles_mu_);
-    auto it = tiles_.find(key);
-    if (it == tiles_.end()) {
-      span.SetStatus(StatusCode::kNotFound);
-      return Status::NotFound("tile (" + std::to_string(id.x) + "," +
-                              std::to_string(id.y) + ")");
-    }
-    bytes = it->second;  // Pin: valid after the lock drops, forever.
-  }
-  if (!IsTileV3(bytes.view())) {
-    // Not corruption — the tile is simply stored in the v1 format (frame
-    // integrity is still checked by the decode path). No quarantine.
-    span.SetStatus(StatusCode::kFailedPrecondition);
-    return Status::FailedPrecondition(
-        "tile (" + std::to_string(id.x) + "," + std::to_string(id.y) +
-        ") is not in the v3 flat format; use LoadTile");
-  }
+  if (cached.has_value() && !injected) return *std::move(cached);
+  TraceSpan validate_span("tile_store.validate");
   auto view = TileView::Create(bytes.span());
   if (!view.ok()) {
+    validate_span.SetStatus(view.status().code());
     span.SetStatus(view.status().code());
-    if (view.status().code() == StatusCode::kDataLoss) {
-      Quarantine(key, gen);
-    }
+    // Corrupt bytes stay corrupt: remember the verdict so every later
+    // read fails fast instead of re-validating.
+    if (view.status().code() == StatusCode::kDataLoss) Quarantine(key, *gen);
     return view.status();
   }
   PinnedTileView pinned{std::move(bytes), *view};
+  if (injected) return pinned;  // Not the store's bytes: never cached.
   std::lock_guard<std::mutex> lock(cache_mu_);
-  if (mutation_gen_.load(std::memory_order_relaxed) == gen) {
+  if (mutation_gen_.load(std::memory_order_relaxed) == *gen) {
     view_cache_.emplace(key, pinned);
   }
   return pinned;
 }
 
+Result<std::shared_ptr<const HdMap>> TileStore::LoadTileShared(
+    const TileId& id) const {
+  // Cache hits are deliberately span-free: they are the hot path of every
+  // cached GetRegion (already counted by tile_store.cache_hits), and a
+  // span's two clock reads would cost more than the lookup itself. Spans
+  // cover the slow path only: miss -> validate -> materialize.
+  if (auto cached = CacheLookup(id.Morton())) return cached;
+  // Child span of whatever request is loading (GetRegion fans these out
+  // across ParallelFor workers, so they nest under the request's root).
+  TraceSpan span("tile_store.load");
+  uint64_t gen = 0;
+  HDMAP_ASSIGN_OR_RETURN(PinnedTileView pinned,
+                         ValidatedView(id, /*inject_faults=*/true, span, &gen));
+  TraceSpan decode_span("tile_store.decode");
+  Result<HdMap> tile = pinned.view.Materialize();
+  if (!tile.ok()) {
+    decode_span.SetStatus(tile.status().code());
+    span.SetStatus(tile.status().code());
+    return tile.status();
+  }
+  auto shared = std::make_shared<const HdMap>(std::move(tile).value());
+  CacheInsert(id.Morton(), shared, gen);
+  return shared;
+}
+
+Result<HdMap> TileStore::LoadTile(const TileId& id) const {
+  HDMAP_ASSIGN_OR_RETURN(std::shared_ptr<const HdMap> tile,
+                         LoadTileShared(id));
+  return HdMap(*tile);
+}
+
+Result<PinnedTileView> TileStore::GetTileView(const TileId& id) const {
+  TraceSpan span("tile_store.view");
+  uint64_t gen = 0;
+  return ValidatedView(id, /*inject_faults=*/false, span, &gen);
+}
+
 Result<PinnedBytes> TileStore::RawTileBytes(const TileId& id) const {
   std::shared_lock<std::shared_mutex> lock(tiles_mu_);
   auto it = tiles_.find(id.Morton());
-  if (it == tiles_.end()) {
-    return Status::NotFound("tile (" + std::to_string(id.x) + "," +
-                            std::to_string(id.y) + ")");
-  }
+  if (it == tiles_.end()) return Status::NotFound(TileName(id));
   return it->second;
 }
 
@@ -529,7 +502,7 @@ Result<HdMap> TileStore::StitchTiles(const std::vector<TileId>& tile_list,
       tile_list.size(), Status::Internal("tile not loaded"));
   ParallelFor(
       tile_list.size(),
-      [&](size_t i) { loaded[i] = LoadTileShared(tile_list[i].Morton()); },
+      [&](size_t i) { loaded[i] = LoadTileShared(tile_list[i]); },
       num_threads);
 
   TraceSpan stitch_span("tile_store.stitch");
@@ -652,11 +625,6 @@ void TileStore::CacheClear() {
   lru_.clear();
   quarantined_.clear();
   view_cache_.clear();
-}
-
-bool TileStore::IsQuarantined(uint64_t key) const {
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  return quarantined_.count(key) > 0;
 }
 
 void TileStore::Quarantine(uint64_t key, uint64_t gen) const {

@@ -21,26 +21,9 @@
 #include "core/pinned_bytes.h"
 #include "core/tile_view.h"
 
-// Which encoder Build/PutTile use when Options::format is left at its
-// default. CMake sets this from -DHDMAP_FORMAT_V3=ON/OFF (the OFF preset
-// is the escape hatch while v3 soaks); both encoders are always compiled
-// and both decoders always accept either format.
-#ifndef HDMAP_FORMAT_V3_DEFAULT
-#define HDMAP_FORMAT_V3_DEFAULT 1
-#endif
-
 namespace hdmap {
 
-/// Serialization format for tiles written by Build/RebuildTiles/PutTile.
-/// Reads are format-agnostic: DeserializeMap dispatches on the payload
-/// magic, so a store can hold a mix (e.g. right after a format rollout).
-enum class TileFormat {
-  /// v1 streaming encoding (core/serialization.h): decode-everything.
-  kLegacyV1,
-  /// v3 offset-table layout (core/tile_view.h): the framed bytes are the
-  /// queryable representation; GetTileView serves them without decoding.
-  kFlatV3,
-};
+class TraceSpan;
 
 /// Tile coordinate in a uniform square tiling of the plane.
 struct TileId {
@@ -59,8 +42,8 @@ struct TileId {
   }
 };
 
-/// Serving counters for the deserialized-tile cache. Hits mean LoadTile /
-/// LoadRegion skipped DeserializeMap entirely.
+/// Serving counters for the decoded-tile cache. Hits mean LoadTile /
+/// LoadRegion skipped validation and Materialize entirely.
 struct TileStoreStats {
   size_t cache_hits = 0;
   size_t cache_misses = 0;
@@ -95,19 +78,23 @@ enum class RegionReadMode {
 /// Keyed collection of serialized map tiles (the unit of distribution and
 /// incremental update in production HD-map services; enables the
 /// partitioned update workloads of Pannen et al. [44] and Qi et al. [47]).
+/// Every tile is stored as a framed v3 tile (core/tile_view.h): the
+/// framed bytes are the queryable representation, so GetTileView serves
+/// them in place and LoadTile materializes from the same validated view.
 ///
-/// Serving hot path: deserialized tiles are kept in a bounded LRU cache,
-/// so repeated LoadTile/LoadRegion calls over hot tiles skip
-/// DeserializeMap. Build and LoadRegion fan work out across threads; the
-/// serialized output of Build is byte-identical regardless of thread
-/// count (element-to-tile assignment is sequential and deterministic,
-/// only the per-tile serialization is parallel).
+/// Serving hot path: decoded tiles are kept in a bounded LRU cache, so
+/// repeated LoadTile/LoadRegion calls over hot tiles skip Materialize.
+/// Build and LoadRegion fan work out across threads; the serialized
+/// output of Build is byte-identical regardless of thread count
+/// (element-to-tile assignment is sequential and deterministic, only the
+/// per-tile encoding is parallel).
 ///
 /// Corruption resilience: tile payloads travel inside a CRC32 frame
-/// (core/wire_frame.h), so a truncated or bit-flipped blob fails decode
-/// with kDataLoss instead of producing a silently wrong tile. A failed
-/// tile is quarantined (fail-fast on later loads, never cached) until its
-/// bytes are replaced; LoadRegion can stitch around it (kAllowPartial).
+/// (core/wire_frame.h), so a truncated or bit-flipped blob fails
+/// validation with kDataLoss instead of producing a silently wrong tile;
+/// so does a framed blob that is not a v3 tile. A failed tile is
+/// quarantined (fail-fast on later loads, never cached) until its bytes
+/// are replaced; LoadRegion can stitch around it (kAllowPartial).
 ///
 /// Thread safety: concurrent const calls (LoadTile/LoadRegion/TilesInBox)
 /// are safe with respect to the cache and quarantine set. Per-tile
@@ -138,10 +125,6 @@ class TileStore {
     /// benches can corrupt serialized tiles on demand with reproducible
     /// seeds. Must outlive the store; null disables injection.
     FaultInjector* fault_injector = nullptr;
-    /// Encoder used for tiles this store serializes itself. Defaults to
-    /// the build-wide choice (-DHDMAP_FORMAT_V3).
-    TileFormat format = HDMAP_FORMAT_V3_DEFAULT ? TileFormat::kFlatV3
-                                                : TileFormat::kLegacyV1;
   };
 
   /// FaultInjector site name instrumenting LoadTile/LoadRegion blob reads.
@@ -191,15 +174,15 @@ class TileStore {
   Status RebuildTiles(const HdMap& map, const std::vector<TileId>& tiles,
                       size_t num_threads = 0);
 
-  /// Replaces one tile's payload with the serialization of `tile_map`
-  /// and invalidates that tile's cache and quarantine entries.
+  /// Replaces one tile's payload with the v3 encoding of `tile_map` and
+  /// invalidates that tile's cache and quarantine entries.
   void PutTile(const TileId& id, const HdMap& tile_map);
 
   /// Installs `bytes` verbatim as tile `id`'s payload — the ingestion
   /// path for tiles received over the wire from another store or service.
-  /// Nothing is validated here; corruption surfaces as kDataLoss when the
-  /// tile is first loaded (frame checksum). Invalidates the tile's cache
-  /// and quarantine entries.
+  /// Nothing is validated here; corrupt bytes, and framed bytes that are
+  /// not a v3 tile, surface as kDataLoss (and quarantine) when the tile
+  /// is first read. Invalidates the tile's cache and quarantine entries.
   void PutRawTile(const TileId& id, std::string bytes);
 
   /// Same as PutRawTile but zero-copy: `bytes` may be backed by an
@@ -207,19 +190,19 @@ class TileStore {
   /// rather than copying it onto the heap.
   void PutPinnedTile(const TileId& id, PinnedBytes bytes);
 
-  /// Deserializes a tile (or copies it out of the cache); kNotFound for
-  /// absent tiles.
+  /// The tile as a heap HdMap: GetTileView's validation followed by
+  /// TileView::Materialize (or a copy out of the decoded cache).
+  /// kNotFound for absent tiles, kDataLoss (and quarantine) for corrupt
+  /// ones.
   Result<HdMap> LoadTile(const TileId& id) const;
 
-  /// Zero-copy read of one v3 tile: validates the framed bytes once per
-  /// payload generation (CRC + structural pass, cached like decoded
-  /// tiles) and returns in-place accessors over them — no allocation, no
-  /// decode. The returned view stays valid for its own lifetime even if
-  /// the tile is replaced or the store destroyed (the PinnedTileView
-  /// holds the pin). kNotFound for absent tiles, kDataLoss (and
-  /// quarantine, exactly like LoadTile) for corrupt ones, and
-  /// kFailedPrecondition for tiles stored in the legacy v1 format —
-  /// fall back to LoadTile for those.
+  /// Zero-copy read of one tile: validates the framed bytes once per
+  /// payload generation (CRC + structural pass, cached per tile) and
+  /// returns in-place accessors over them — no allocation, no decode.
+  /// The returned view stays valid for its own lifetime even if the tile
+  /// is replaced or the store destroyed (the PinnedTileView holds the
+  /// pin). kNotFound for absent tiles, kDataLoss (and quarantine, exactly
+  /// like LoadTile) for corrupt ones.
   Result<PinnedTileView> GetTileView(const TileId& id) const;
 
   /// The tile's serialized framed bytes, pinned — the serve-verbatim
@@ -269,7 +252,6 @@ class TileStore {
   void ResetStats();
 
   size_t cache_capacity() const { return cache_capacity_; }
-  TileFormat format() const { return format_; }
 
   /// Copy of every serialized blob, keyed by Morton code — byte-equality
   /// checks in tests/benches and other whole-store sweeps. Thread-safe
@@ -296,14 +278,22 @@ class TileStore {
                      std::map<uint64_t, HdMap>* tile_maps,
                      std::map<uint64_t, TileId>* ids) const;
 
-  /// Serializes one tile's map in the store's configured format.
-  std::string EncodeBlob(const HdMap& tile_map) const;
+  /// The one validate-and-pin routine behind GetTileView and LoadTile:
+  /// quarantine check, generation sample (into `*gen`), blob pin, then
+  /// CRC + structural validation once per payload generation (the
+  /// validated view is kept in view_cache_). A kDataLoss verdict
+  /// quarantines the tile: later reads fail fast until its bytes are
+  /// replaced. With `inject_faults`, the pinned bytes pass the
+  /// kLoadFaultSite seam before a cached view is used; corrupted bytes
+  /// are validated afresh and never cached. Failures are recorded on
+  /// `span`, the caller's per-read span.
+  Result<PinnedTileView> ValidatedView(const TileId& id, bool inject_faults,
+                                       TraceSpan& span, uint64_t* gen) const;
 
   /// Cache-aware tile load; returns a shared snapshot that must only be
   /// read (never queried through the lazy-index API concurrently). A
-  /// kDataLoss decode failure quarantines the tile: later loads fail fast
-  /// without re-decoding until the tile's bytes are replaced.
-  Result<std::shared_ptr<const HdMap>> LoadTileShared(uint64_t key) const;
+  /// decoded-cache miss materializes from ValidatedView.
+  Result<std::shared_ptr<const HdMap>> LoadTileShared(const TileId& id) const;
 
   /// Loads `tile_list` concurrently and stitches the survivors in tile
   /// order (deterministic): the shared body of LoadRegion and LoadAll.
@@ -323,10 +313,8 @@ class TileStore {
   void CacheErase(uint64_t key);
   /// Drops all derived load state: cache and quarantine set.
   void CacheClear();
-  bool IsQuarantined(uint64_t key) const;
 
   double tile_size_;
-  TileFormat format_;
   // Blob map, guarded by tiles_mu_ for per-tile replacement vs reads
   // (wholesale Build/assignment still needs external serialization).
   // Blobs are immutable PinnedBytes: replacing a tile swaps the map
@@ -353,7 +341,7 @@ class TileStore {
   // guarded by cache_mu_ (set during const loads, hence mutable).
   mutable std::set<uint64_t> quarantined_;
 
-  // Validated-once views of v3 tiles, keyed by Morton code; guarded by
+  // Validated-once views of tiles, keyed by Morton code; guarded by
   // cache_mu_ and invalidated with the decoded cache (CacheErase /
   // CacheClear). Entries are tiny (a pin plus section pointers) and
   // bounded by the tile count, so no LRU. The pinned bytes are the

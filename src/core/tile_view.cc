@@ -329,16 +329,6 @@ std::string EncodeTileV3(const HdMap& map) {
   return WrapFrame(payload);
 }
 
-bool IsTileV3(std::string_view bytes) {
-  if (IsFramed(bytes)) {
-    if (bytes.size() < kWireFrameHeaderSize + sizeof(uint32_t)) return false;
-    bytes = bytes.substr(kWireFrameHeaderSize);
-  }
-  return bytes.size() >= sizeof(uint32_t) &&
-         LoadU32(reinterpret_cast<const uint8_t*>(bytes.data())) ==
-             kTileV3Magic;
-}
-
 // --- Public view -----------------------------------------------------------
 
 Result<TileView> TileView::Create(std::string_view bytes,
@@ -351,16 +341,12 @@ Result<TileView> TileView::Create(std::string_view bytes,
 
 Result<TileView> TileView::Create(std::span<const uint8_t> bytes,
                                   FrameChecksum checksum) {
-  std::string_view raw(reinterpret_cast<const char*>(bytes.data()),
-                       bytes.size());
-  std::string_view payload = raw;
-  if (IsFramed(raw)) {
-    auto unwrapped = checksum == FrameChecksum::kVerify
-                         ? UnwrapFrame(raw)
-                         : UnwrapFrameTrusted(raw);
-    HDMAP_RETURN_IF_ERROR(unwrapped.status());
-    payload = *unwrapped;
-  }
+  std::string_view framed(reinterpret_cast<const char*>(bytes.data()),
+                          bytes.size());
+  HDMAP_ASSIGN_OR_RETURN(std::string_view payload,
+                         checksum == FrameChecksum::kVerify
+                             ? UnwrapFrame(framed)
+                             : UnwrapFrameTrusted(framed));
 
   const uint8_t* base = reinterpret_cast<const uint8_t*>(payload.data());
   const uint64_t size = payload.size();

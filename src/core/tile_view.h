@@ -53,10 +53,6 @@ namespace hdmap {
 inline constexpr uint32_t kTileV3Magic = 0x334D4448;
 inline constexpr uint32_t kTileV3Version = 3;
 
-/// True when `bytes` carries a v3 payload — either bare or inside a wire
-/// frame. Says nothing about integrity (use TileView::Create for that).
-bool IsTileV3(std::string_view bytes);
-
 /// Encodes `map` as a framed v3 tile. Byte-deterministic: output is a
 /// pure function of the map contents (elements iterate in id order).
 std::string EncodeTileV3(const HdMap& map);
@@ -244,7 +240,7 @@ class TileView {
   /// the only way to get a view over actual bytes.
   TileView() = default;
 
-  /// Validates `bytes` — a wire-framed v3 tile or a bare v3 payload —
+  /// Validates `bytes` — a wire-framed v3 tile (EncodeTileV3 output) —
   /// and returns a view over it. kDataLoss on any structural violation
   /// (fail closed: a successful Create guarantees every subsequent
   /// accessor stays in bounds). With FrameChecksum::kVerify (default)
@@ -286,7 +282,7 @@ class TileView {
 
   /// Full decode into a heap HdMap — the residual path for callers that
   /// need mutation or spatial indexes. Equivalent to DeserializeMap on
-  /// the v1 encoding of the same map.
+  /// the SerializeMap encoding of the same map.
   Result<HdMap> Materialize() const;
 
  private:

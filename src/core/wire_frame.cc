@@ -7,8 +7,9 @@ namespace hdmap {
 
 namespace {
 
-// "HDFR" little-endian: distinct from every legacy payload magic
-// ("HDMF"/"HDMC"/"HDMP"), so framed and bare buffers are unambiguous.
+// "HDFR" little-endian: distinct from every payload magic
+// ("HDMF"/"HDMC"/"HDMP"/"HDM3"), so a bare payload never parses as a
+// frame.
 constexpr uint32_t kFrameMagic = 0x52464448;
 
 // Slice-by-8 CRC tables: table[0] is the classic byte-at-a-time table;
@@ -84,11 +85,6 @@ uint32_t Crc32(std::string_view data, uint32_t crc) {
           (crc >> 8);
   }
   return ~crc;
-}
-
-bool IsFramed(std::string_view data) {
-  return data.size() >= sizeof(uint32_t) &&
-         ReadHeaderU32(data, 0) == kFrameMagic;
 }
 
 std::string WrapFrame(std::string_view payload) {

@@ -32,12 +32,6 @@ inline constexpr size_t kWireFrameHeaderSize = 16;
 /// Current frame format version.
 inline constexpr uint32_t kWireFrameVersion = 1;
 
-/// True when `data` begins with the frame magic — i.e. it claims to be a
-/// framed payload (WrapFrame output) rather than a bare legacy
-/// serialization. A true result says nothing about integrity; use
-/// UnwrapFrame for that.
-bool IsFramed(std::string_view data);
-
 /// Wraps `payload` in a checksummed frame: header (see
 /// kWireFrameHeaderSize) followed by the payload bytes verbatim. The
 /// output is a pure function of the payload, so framed serializations

@@ -20,7 +20,6 @@
 
 #include "common/trace.h"
 #include "core/binary_io.h"
-#include "core/serialization.h"
 #include "core/tile_view.h"
 #include "core/wire_frame.h"
 
@@ -497,9 +496,8 @@ void TileServer::ExecuteRequest(
 std::tuple<NetResponseCode, StatusCode, std::string> TileServer::ComputeFull(
     const NetRequest& request, uint64_t* version) {
   computations_->Increment();
-  if (options_.handler_delay_ms_for_test != 0) {
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(options_.handler_delay_ms_for_test));
+  if (options_.fault_injector != nullptr) {
+    options_.fault_injector->MaybeDelay(kComputeFaultSite);
   }
   auto snap = service_.snapshot();
   *version = snap->version;
@@ -519,20 +517,15 @@ std::tuple<NetResponseCode, StatusCode, std::string> TileServer::ComputeFull(
   }
   // Region: stitch (through the service, so degraded-mode policy and
   // map_service.* accounting apply; its endpoint span nests under
-  // net.request) and serialize once, in the snapshot's own tile format.
-  // Either encoding is framed, so the client decodes and
-  // integrity-checks it like a tile blob (DeserializeMap dispatches on
-  // the payload magic).
+  // net.request) and encode once as a framed v3 tile, so the client
+  // views or decodes and integrity-checks it like a tile blob.
   Result<HdMap> region = service_.GetRegion(request.box);
   if (!region.ok()) {
     return {NetResponseCode::kError, region.status().code(),
             region.status().message()};
   }
   TraceSpan serialize_span("net.serialize_region", options_.trace);
-  std::string payload = snap->tiles.format() == TileFormat::kFlatV3
-                            ? EncodeTileV3(*region)
-                            : SerializeMap(*region);
-  return {NetResponseCode::kOk, StatusCode::kOk, std::move(payload)};
+  return {NetResponseCode::kOk, StatusCode::kOk, EncodeTileV3(*region)};
 }
 
 std::string TileServer::BuildStatsPayload(const NetRequest& request) const {

@@ -101,14 +101,12 @@ class TileServer {
     size_t event_log_capacity = 256;
     /// Registry for "net.*" instruments; null uses the service registry.
     MetricsRegistry* metrics = nullptr;
-    /// Fault seam at site "net.recv" (request-body corruption after
-    /// framing, so CRC rejection paths are testable); null disables.
-    FaultInjector* fault_injector = nullptr;
-    /// Test hook: sleep this long inside every GetTile/GetRegion
+    /// Fault seams at site "net.recv" (request-body corruption after
+    /// framing, so CRC rejection paths are testable) and "net.compute"
+    /// (a kDelay policy sleeps inside every GetTile/GetRegion
     /// computation, widening the coalescing/admission windows so tests
-    /// can deterministically pile up concurrent requests. 0 in
-    /// production.
-    uint32_t handler_delay_ms_for_test = 0;
+    /// can deterministically pile up concurrent requests); null disables.
+    FaultInjector* fault_injector = nullptr;
     /// Connections with no received bytes and no in-flight requests for
     /// this long are reaped (closed, with a kConnectionReaped event and
     /// a "net.connections_reaped" increment), so dead clients and
@@ -139,6 +137,8 @@ class TileServer {
 
   /// FaultInjector site name for received request bodies.
   static constexpr const char* kRecvFaultSite = "net.recv";
+  /// FaultInjector site name at the top of every full-fetch computation.
+  static constexpr const char* kComputeFaultSite = "net.compute";
 
   /// `service` must be Init'ed before requests arrive and must outlive
   /// the server.

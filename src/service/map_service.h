@@ -304,8 +304,7 @@ class MapService {
   /// across snapshot swaps and store teardown — a caller may hold it for
   /// as long as it reads, with no coordination against publishes.
   /// `version` reports the snapshot the view came from.
-  /// kFailedPrecondition before Init or for tiles stored in the legacy
-  /// v1 format (fall back to GetTile).
+  /// kFailedPrecondition before Init.
   Result<VersionedTileView> GetTileView(const TileId& id) const;
 
   /// Lane-level match against the current snapshot's stitched map.

@@ -340,11 +340,6 @@ Result<PinnedTileView> MappedCheckpoint::View(uint64_t morton) const {
     return Status::NotFound("tile key " + std::to_string(morton) +
                             " not in checkpoint v" + std::to_string(version));
   }
-  if (!IsTileV3(it->second.view())) {
-    return Status::FailedPrecondition(
-        "tile key " + std::to_string(morton) +
-        " is not in the v3 flat format; DeserializeMap its bytes instead");
-  }
   HDMAP_ASSIGN_OR_RETURN(
       TileView view,
       TileView::Create(it->second.span(), FrameChecksum::kTrust));

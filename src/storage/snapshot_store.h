@@ -49,9 +49,8 @@ struct MappedCheckpoint {
   /// Morton key -> tile coordinates (from the manifest).
   std::map<uint64_t, TileId> tile_ids;
 
-  /// Zero-copy view of one tile. kNotFound for unknown keys,
-  /// kFailedPrecondition for tiles checkpointed in the legacy v1 format
-  /// (materialize those via DeserializeMap on the pinned bytes).
+  /// Zero-copy view of one tile. kNotFound for unknown keys, kDataLoss
+  /// for a tile whose (CRC-valid) bytes are not a v3 tile.
   Result<PinnedTileView> View(uint64_t morton) const;
 };
 

@@ -110,25 +110,26 @@ std::string Mutate(std::string_view blob, Rng& rng) {
 }
 
 /// Runs the mutation loop against one decoder over both the framed blob
-/// and its bare legacy payload (the bytes after the frame header, which
-/// have no CRC and exercise the in-decoder count guards directly).
+/// and its payload mutated then re-framed with a valid CRC (so the frame
+/// check passes and the in-decoder count guards are load-bearing).
 template <typename Decoder>
 void FuzzDecoder(std::string_view framed, Decoder decode,
                  const char* what) {
-  ASSERT_TRUE(IsFramed(framed));
-  std::string_view legacy = framed.substr(kWireFrameHeaderSize);
+  auto unwrapped = UnwrapFrame(framed);
+  ASSERT_TRUE(unwrapped.ok()) << unwrapped.status().ToString();
+  std::string_view payload = *unwrapped;
   Rng rng(kSeed);
   size_t iters = FuzzIters();
   size_t framed_survivals = 0;
   for (size_t i = 0; i < iters; ++i) {
     // The decoder either succeeds (mutation hit dead bytes — possible
-    // only on the legacy path or an unluckily-patched CRC) or returns a
-    // Status. Anything else (crash, sanitizer report, OOM) fails the
+    // only on the re-framed path or an unluckily-patched CRC) or returns
+    // a Status. Anything else (crash, sanitizer report, OOM) fails the
     // whole binary, which is the point.
     std::string bad_framed = Mutate(framed, rng);
     if (decode(bad_framed).ok()) ++framed_survivals;
-    std::string bad_legacy = Mutate(legacy, rng);
-    (void)decode(bad_legacy).ok();
+    std::string reframed = WrapFrame(Mutate(payload, rng));
+    (void)decode(reframed).ok();
   }
   // On the framed path a mutation can only survive by leaving the bytes
   // equivalent or forging a 32-bit CRC; at fuzz scale that means

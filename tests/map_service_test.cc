@@ -67,9 +67,7 @@ TEST(MapServiceTest, InitServesAllEndpoints) {
 }
 
 TEST(MapServiceTest, GetTileViewServesAndPinsAcrossPublish) {
-  MapService::Options opt = SmallTileOptions();
-  opt.tile_store.format = TileFormat::kFlatV3;  // Views need v3 bytes.
-  MapService service(opt);
+  MapService service(SmallTileOptions());
   EXPECT_EQ(service.GetTileView(TileId{0, 0}).status().code(),
             StatusCode::kFailedPrecondition);  // Before Init.
   ASSERT_TRUE(service.Init(StraightRoad(500.0)).ok());

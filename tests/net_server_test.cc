@@ -37,6 +37,21 @@ ElementId FirstLandmarkId(const HdMap& map) {
   return map.landmarks().begin()->first;
 }
 
+/// Arms a probability-1.0 kDelay policy at the server's compute site and
+/// wires it into `options`: every GetTile/GetRegion computation sleeps
+/// `delay_ms`, widening the coalescing/admission windows so tests can
+/// deterministically pile up concurrent requests. `faults` must outlive
+/// the server.
+TileServer::Options DelayedCompute(FaultInjector* faults, uint32_t delay_ms,
+                                   TileServer::Options options = {}) {
+  faults->AddPolicy({.site = TileServer::kComputeFaultSite,
+                     .kind = FaultKind::kDelay,
+                     .probability = 1.0,
+                     .delay_ms = delay_ms});
+  options.fault_injector = faults;
+  return options;
+}
+
 /// Service + started server + one connected client.
 struct Harness {
   explicit Harness(TileServer::Options server_options = {},
@@ -272,10 +287,10 @@ TEST(NetServerTest, GetRegionRoundtrips) {
 }
 
 TEST(NetServerTest, CoalescingCollapsesIdenticalConcurrentRegions) {
+  FaultInjector faults(1);
   TileServer::Options options;
   options.worker_threads = 4;
-  options.handler_delay_ms_for_test = 150;
-  Harness h(options);
+  Harness h(DelayedCompute(&faults, 150, options));
   Aabb box = h.service.snapshot()->map.BoundingBox();
 
   uint64_t computations_before =
@@ -316,11 +331,11 @@ TEST(NetServerTest, CoalescingCollapsesIdenticalConcurrentRegions) {
 }
 
 TEST(NetServerTest, BusyWhenGlobalQueueFull) {
+  FaultInjector faults(1);
   TileServer::Options options;
   options.worker_threads = 1;
   options.max_pending_requests = 2;
-  options.handler_delay_ms_for_test = 300;
-  Harness h(options);
+  Harness h(DelayedCompute(&faults, 300, options));
 
   // Distinct tiles (no coalescing): the IO thread admits two and must
   // shed the rest with typed BUSY responses while the slow worker holds
@@ -361,12 +376,12 @@ TEST(NetServerTest, BusyWhenGlobalQueueFull) {
 }
 
 TEST(NetServerTest, BusyAtPerConnectionCap) {
+  FaultInjector faults(1);
   TileServer::Options options;
   options.worker_threads = 1;
   options.max_pending_requests = 100;
   options.max_inflight_per_connection = 1;
-  options.handler_delay_ms_for_test = 200;
-  Harness h(options);
+  Harness h(DelayedCompute(&faults, 200, options));
 
   for (int i = 0; i < 3; ++i) {
     NetRequest request;
@@ -443,16 +458,11 @@ TEST(NetServerTest, ConditionalFetchDeltaMatchesLocalApply) {
   ASSERT_TRUE(ApplyPatch(*wire_patch, &local.value()).ok());
 
   // The locally patched map matches a fresh full fetch of version 2 —
-  // byte-identical once re-encoded in whichever region format the
-  // server's store uses (v3 by default, v1 under -DHDMAP_FORMAT_V3=OFF).
+  // byte-identical once re-encoded as a v3 tile, the region reply format.
   auto fresh = h.client.GetRegion(box);
   ASSERT_TRUE(fresh.ok());
   ASSERT_EQ(fresh->code, NetResponseCode::kOk);
-  std::string reencoded =
-      h.service.snapshot()->tiles.format() == TileFormat::kFlatV3
-          ? EncodeTileV3(*local)
-          : SerializeMap(*local);
-  EXPECT_EQ(reencoded, fresh->payload);
+  EXPECT_EQ(EncodeTileV3(*local), fresh->payload);
   EXPECT_EQ(local->FindLandmark(sign)->position,
             h.service.snapshot()->map.FindLandmark(sign)->position);
 }
@@ -506,6 +516,27 @@ TEST(NetServerTest, CorruptRequestBodyRejectedConnectionSurvives) {
   auto after = h.client.Ping();
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after->code, NetResponseCode::kOk);
+}
+
+TEST(NetServerTest, ComputeDelayPolicySlowsOnlyFetches) {
+  FaultInjector faults(1);
+  Harness h(DelayedCompute(&faults, 50));
+  // kDelay is invisible to the data and failure planes.
+  std::string untouched;
+  EXPECT_FALSE(faults.MaybeCorrupt(TileServer::kComputeFaultSite, "bytes",
+                                   &untouched));
+  EXPECT_TRUE(faults.MaybeFail(TileServer::kComputeFaultSite).ok());
+
+  // Ping never reaches the compute site; a tile fetch sleeps there once.
+  ASSERT_TRUE(h.client.Ping().ok());
+  EXPECT_EQ(faults.InjectedCount(TileServer::kComputeFaultSite), 0u);
+  auto started = std::chrono::steady_clock::now();
+  auto response = h.client.GetTile(h.service.snapshot()->tiles.AllTiles()[0]);
+  ASSERT_TRUE(response.ok());
+  EXPECT_EQ(response->code, NetResponseCode::kOk);
+  EXPECT_GE(std::chrono::steady_clock::now() - started,
+            std::chrono::milliseconds(50));
+  EXPECT_EQ(faults.InjectedCount(TileServer::kComputeFaultSite), 1u);
 }
 
 TEST(NetServerTest, RecvFaultInjectionRejectsWithoutKillingConnection) {
@@ -662,9 +693,8 @@ TEST(NetServerTest, SlowRpcWatchdogForceRecordsTrace) {
 
   EventLog watchdog_log(16);
   {
-    TileServer::Options options;
-    options.handler_delay_ms_for_test = 20;  // Applies on the fetch path.
-    Harness h(options);
+    FaultInjector faults(1);
+    Harness h(DelayedCompute(&faults, 20));  // Applies on the fetch path.
     h.client.set_slow_rpc_watchdog(/*budget_s=*/0.001, &watchdog_log);
     TileId id = h.service.snapshot()->tiles.AllTiles().front();
     auto response = h.client.GetTile(id);
@@ -691,17 +721,17 @@ TEST(NetServerTest, SlowRpcWatchdogForceRecordsTrace) {
 }
 
 TEST(NetServerTest, StopDrainsAdmittedRequests) {
+  FaultInjector faults(1);
   TileServer::Options options;
   options.worker_threads = 2;
-  options.handler_delay_ms_for_test = 100;
-  auto h = std::make_unique<Harness>(options);
+  auto h = std::make_unique<Harness>(DelayedCompute(&faults, 100, options));
   NetRequest request;
   request.type = NetRequestType::kGetTile;
   request.request_id = 7;
   request.tile = h->service.snapshot()->tiles.AllTiles().front();
   ASSERT_TRUE(h->client.Send(request).ok());
   // Wait for admission (the request counter ticks at execution start),
-  // then stop while the handler is still inside its test delay: the
+  // then stop while the handler is still inside its injected delay: the
   // worker pool drains its queue, so the admitted request still gets its
   // response.
   Counter* requests = h->server->metrics().GetCounter("net.requests");

@@ -92,7 +92,6 @@ TEST(WireFrameTest, Crc32MatchesKnownVectors) {
 TEST(WireFrameTest, WrapUnwrapRoundTrips) {
   std::string framed = WrapFrame("payload bytes");
   EXPECT_EQ(framed.size(), 13u + kWireFrameHeaderSize);
-  EXPECT_TRUE(IsFramed(framed));
   auto payload = UnwrapFrame(framed);
   ASSERT_TRUE(payload.ok()) << payload.status().ToString();
   EXPECT_EQ(*payload, "payload bytes");
@@ -118,14 +117,13 @@ TEST(WireFrameTest, DetectsEveryHeaderAndPayloadDefect) {
   // Corrupt magic is simply not a frame.
   bad = framed;
   bad[0] ^= 0xFF;
-  EXPECT_FALSE(IsFramed(bad));
-  EXPECT_FALSE(UnwrapFrame(bad).ok());
+  EXPECT_EQ(UnwrapFrame(bad).status().code(), StatusCode::kDataLoss);
 }
 
 TEST(SerializationTest, FramedBlobsDetectCorruptionAnywhere) {
   HdMap map = SmallTown();
   std::string blob = SerializeMap(map);
-  ASSERT_TRUE(IsFramed(blob));
+  ASSERT_TRUE(UnwrapFrame(blob).ok());
   // A single flipped bit anywhere in the body must surface as kDataLoss
   // (header defects may also report other frame errors; sample a spread
   // of offsets rather than all of them to keep the test fast).
@@ -139,34 +137,39 @@ TEST(SerializationTest, FramedBlobsDetectCorruptionAnywhere) {
   }
 }
 
-TEST(SerializationTest, LegacyUnframedBlobsStillDeserialize) {
+TEST(SerializationTest, UnframedPayloadsRejected) {
+  // Decoders accept framed input only: the bytes after the frame header
+  // of a valid blob are kDataLoss on their own.
   HdMap map = SmallTown();
-  // The bytes after the frame header are exactly the pre-framing wire
-  // format, so stripping the header reconstructs a v1/v2 legacy blob.
   std::string full = SerializeMap(map);
-  auto from_legacy = DeserializeMap(
-      std::string_view(full).substr(kWireFrameHeaderSize));
-  ASSERT_TRUE(from_legacy.ok()) << from_legacy.status().ToString();
-  EXPECT_EQ(from_legacy->lanelets().size(), map.lanelets().size());
-
+  EXPECT_EQ(DeserializeMap(std::string_view(full).substr(kWireFrameHeaderSize))
+                .status()
+                .code(),
+            StatusCode::kDataLoss);
   std::string compact = SerializeCompactMap(map);
-  auto compact_legacy = DeserializeCompactMap(
-      std::string_view(compact).substr(kWireFrameHeaderSize));
-  ASSERT_TRUE(compact_legacy.ok()) << compact_legacy.status().ToString();
-  EXPECT_EQ(compact_legacy->lanelets().size(), map.lanelets().size());
+  EXPECT_EQ(DeserializeCompactMap(
+                std::string_view(compact).substr(kWireFrameHeaderSize))
+                .status()
+                .code(),
+            StatusCode::kDataLoss);
+  std::string patch = SerializePatch(MapPatch{});
+  EXPECT_EQ(
+      DeserializePatch(std::string_view(patch).substr(kWireFrameHeaderSize))
+          .status()
+          .code(),
+      StatusCode::kDataLoss);
+}
 
-  MapPatch patch;
-  Landmark lm;
-  lm.id = 4242;
-  lm.type = LandmarkType::kTrafficSign;
-  lm.position = {1.0, 2.0, 3.0};
-  patch.added_landmarks.push_back(lm);
-  std::string pblob = SerializePatch(patch);
-  auto patch_legacy = DeserializePatch(
-      std::string_view(pblob).substr(kWireFrameHeaderSize));
-  ASSERT_TRUE(patch_legacy.ok()) << patch_legacy.status().ToString();
-  EXPECT_EQ(patch_legacy->added_landmarks.size(), 1u);
-  EXPECT_EQ(patch_legacy->added_landmarks[0].id, 4242u);
+TEST(SerializationTest, PatchVersionOtherThanTwoRejected) {
+  // Patches are version 2 only; a re-framed (valid CRC) buffer claiming
+  // version 1 is refused rather than decoded without its relational
+  // sections.
+  std::string framed = SerializePatch(MapPatch{});
+  std::string payload(framed.substr(kWireFrameHeaderSize));
+  ASSERT_TRUE(DeserializePatch(WrapFrame(payload)).ok());
+  payload[4] = 1;  // u32 version, little-endian, right after the magic.
+  EXPECT_EQ(DeserializePatch(WrapFrame(payload)).status().code(),
+            StatusCode::kDataLoss);
 }
 
 TEST(SerializationTest, InflatedCountsFailWithoutHugeAllocation) {
@@ -175,14 +178,15 @@ TEST(SerializationTest, InflatedCountsFailWithoutHugeAllocation) {
   // Overwrite the first count field (just past the frame header and the
   // payload magic+version) with a ludicrous value. The count guard must
   // reject it against the remaining bytes instead of trusting it.
-  std::string bad = blob.substr(kWireFrameHeaderSize);  // Legacy path:
-  // no CRC to catch the edit, so the guard is load-bearing here.
+  // Re-framed with a valid CRC, so the frame check passes and the guard
+  // is load-bearing.
+  std::string bad = blob.substr(kWireFrameHeaderSize);
   ASSERT_GT(bad.size(), 12u);
   bad[8] = static_cast<char>(0xFF);
   bad[9] = static_cast<char>(0xFF);
   bad[10] = static_cast<char>(0xFF);
   bad[11] = static_cast<char>(0xFF);
-  auto r = DeserializeMap(bad);
+  auto r = DeserializeMap(WrapFrame(bad));
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kDataLoss);
 }

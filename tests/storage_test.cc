@@ -50,10 +50,8 @@ class ScopedTempDir {
   fs::path path_;
 };
 
-TileStore BuildTiles(const HdMap& map, double tile_size = 100.0,
-                     TileFormat format = TileStore::Options{}.format) {
-  TileStore store(
-      TileStore::Options{.tile_size_m = tile_size, .format = format});
+TileStore BuildTiles(const HdMap& map, double tile_size = 100.0) {
+  TileStore store(TileStore::Options{.tile_size_m = tile_size});
   EXPECT_TRUE(store.Build(map).ok());
   return store;
 }
@@ -274,7 +272,7 @@ TEST(SnapshotStoreTest, WriteFailureLeavesPreviousStateServable) {
 TEST(SnapshotStoreTest, OpenMappedServesViewsZeroCopy) {
   ScopedTempDir dir("mmap_open");
   HdMap world = StraightRoad(500.0);
-  TileStore tiles = BuildTiles(world, 100.0, TileFormat::kFlatV3);
+  TileStore tiles = BuildTiles(world, 100.0);
   SnapshotStore store({.data_dir = dir.str(), .fsync = FsyncMode::kNever});
   ASSERT_TRUE(store.WriteCheckpoint(tiles, 7, 123).ok());
 
@@ -319,7 +317,7 @@ TEST(SnapshotStoreTest, OpenMappedDetectsCorruptionAtOpen) {
 TEST(SnapshotStoreTest, MappedViewsSurviveRetentionDelete) {
   ScopedTempDir dir("mmap_retention");
   HdMap world = StraightRoad(500.0);
-  TileStore tiles = BuildTiles(world, 100.0, TileFormat::kFlatV3);
+  TileStore tiles = BuildTiles(world, 100.0);
   SnapshotStore store(
       {.data_dir = dir.str(), .fsync = FsyncMode::kNever, .retention = 1});
   ASSERT_TRUE(store.WriteCheckpoint(tiles, 1, 10).ok());
@@ -351,24 +349,20 @@ TEST(SnapshotStoreTest, MappedViewsSurviveRetentionDelete) {
   EXPECT_GE(lanelets_seen, world.lanelets().size());
 }
 
-TEST(SnapshotStoreTest, OpenMappedLegacyV1TilesRefuseViews) {
-  ScopedTempDir dir("mmap_v1");
+TEST(SnapshotStoreTest, OpenMappedFramedNonTileBlobFailsView) {
+  ScopedTempDir dir("mmap_non_tile");
   HdMap world = StraightRoad(300.0);
-  TileStore tiles(TileStore::Options{.tile_size_m = 100.0,
-                                     .format = TileFormat::kLegacyV1});
-  ASSERT_TRUE(tiles.Build(world).ok());
+  TileStore tiles = BuildTiles(world, 100.0);
+  TileId id = tiles.AllTiles().front();
+  tiles.PutRawTile(id, SerializeMap(world));
   SnapshotStore store({.data_dir = dir.str(), .fsync = FsyncMode::kNever});
   ASSERT_TRUE(store.WriteCheckpoint(tiles, 1, 10).ok());
 
-  // The generation opens (frames are intact) but v1 blobs can't be
-  // viewed in place — materialize them via DeserializeMap instead.
+  // The generation opens (the frame CRC is intact), but a payload that
+  // is not a v3 tile is never served as one.
   auto mapped = store.OpenMapped(1);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  uint64_t first = mapped->tiles.begin()->first;
-  EXPECT_EQ(mapped->View(first).status().code(),
-            StatusCode::kFailedPrecondition);
-  auto decoded = DeserializeMap(mapped->tiles.at(first).view());
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(mapped->View(id.Morton()).status().code(), StatusCode::kDataLoss);
 }
 
 TEST(SnapshotStoreConcurrencyTest, ConcurrentMappedReadersSurviveSwaps) {
@@ -380,7 +374,7 @@ TEST(SnapshotStoreConcurrencyTest, ConcurrentMappedReadersSurviveSwaps) {
   // through swap + unlink.
   ScopedTempDir dir("mmap_concurrent");
   HdMap world = StraightRoad(400.0);
-  TileStore tiles = BuildTiles(world, 100.0, TileFormat::kFlatV3);
+  TileStore tiles = BuildTiles(world, 100.0);
   SnapshotStore store(
       {.data_dir = dir.str(), .fsync = FsyncMode::kNever, .retention = 1});
   ASSERT_TRUE(store.WriteCheckpoint(tiles, 1, 10).ok());

@@ -478,22 +478,9 @@ TEST(TileStoreCorruptionTest, PutRawTileIngestsWireBytes) {
 
 // --- Span-based view API ---
 
-TEST(TileStoreViewTest, CompiledDefaultFormatMatchesBuildFlag) {
-  // The Options default tracks -DHDMAP_FORMAT_V3 (see the `v1-fallback`
-  // preset); every other view test pins the format explicitly so the
-  // suite is green under either default.
-  TileStore store(TileStore::Options{.tile_size_m = 100.0});
-#if HDMAP_FORMAT_V3_DEFAULT
-  EXPECT_EQ(store.format(), TileFormat::kFlatV3);
-#else
-  EXPECT_EQ(store.format(), TileFormat::kLegacyV1);
-#endif
-}
-
 TEST(TileStoreViewTest, GetTileViewServesElementsInPlace) {
   HdMap map = TwoTileWorldWithSharedRegElement();
-  TileStore store(TileStore::Options{.tile_size_m = 100.0,
-                                     .format = TileFormat::kFlatV3});
+  TileStore store(TileStore::Options{.tile_size_m = 100.0});
   ASSERT_TRUE(store.Build(map).ok());
 
   auto view = store.GetTileView(store.TileAt({15, 10}));
@@ -514,8 +501,7 @@ TEST(TileStoreViewTest, GetTileViewServesElementsInPlace) {
 TEST(TileStoreViewTest, ViewPinsBytesAcrossReplaceAndDestruction) {
   HdMap map = TwoTileWorldWithSharedRegElement();
   auto store = std::make_unique<TileStore>(
-      TileStore::Options{.tile_size_m = 100.0,
-                         .format = TileFormat::kFlatV3});
+      TileStore::Options{.tile_size_m = 100.0});
   ASSERT_TRUE(store->Build(map).ok());
   TileId id = store->TileAt({15, 10});
 
@@ -539,50 +525,9 @@ TEST(TileStoreViewTest, ViewPinsBytesAcrossReplaceAndDestruction) {
   EXPECT_NE(materialized->FindRegulatoryElement(900), nullptr);
 }
 
-TEST(TileStoreViewTest, LegacyV1StoreRefusesViewsButStillDecodes) {
-  HdMap map = TwoTileWorldWithSharedRegElement();
-  TileStore store(TileStore::Options{.tile_size_m = 100.0,
-                                     .format = TileFormat::kLegacyV1});
-  ASSERT_TRUE(store.Build(map).ok());
-  TileId id = store.TileAt({15, 10});
-
-  // v1 blobs have no offset tables to point a view at.
-  auto view = store.GetTileView(id);
-  ASSERT_FALSE(view.ok());
-  EXPECT_EQ(view.status().code(), StatusCode::kFailedPrecondition);
-
-  // The legacy decode path is unaffected, and the bytes really are v1.
-  auto tile = store.LoadTile(id);
-  ASSERT_TRUE(tile.ok()) << tile.status().ToString();
-  EXPECT_NE(tile->FindLanelet(1), nullptr);
-  auto bytes = store.RawTileBytes(id);
-  ASSERT_TRUE(bytes.ok());
-  EXPECT_FALSE(IsTileV3(bytes->view()));
-}
-
-TEST(TileStoreViewTest, FormatsDecodeToIdenticalMaps) {
-  HdMap map = SmallTown();
-  TileStore v3(TileStore::Options{.tile_size_m = 128.0,
-                                  .format = TileFormat::kFlatV3});
-  TileStore v1(TileStore::Options{.tile_size_m = 128.0,
-                                  .format = TileFormat::kLegacyV1});
-  ASSERT_TRUE(v3.Build(map).ok());
-  ASSERT_TRUE(v1.Build(map).ok());
-  ASSERT_EQ(v3.NumTiles(), v1.NumTiles());
-  Aabb box = map.BoundingBox();
-  auto r3 = v3.LoadRegion(box);
-  auto r1 = v1.LoadRegion(box);
-  ASSERT_TRUE(r3.ok());
-  ASSERT_TRUE(r1.ok());
-  // Same canonical fingerprint: the two formats are interchangeable at
-  // the map level, byte-determinism gates aside.
-  EXPECT_EQ(SerializeMap(*r3), SerializeMap(*r1));
-}
-
 TEST(TileStoreViewTest, CorruptTileQuarantinesOnViewPath) {
   HdMap map = TwoTileWorldWithSharedRegElement();
-  TileStore store(TileStore::Options{.tile_size_m = 100.0,
-                                     .format = TileFormat::kFlatV3});
+  TileStore store(TileStore::Options{.tile_size_m = 100.0});
   ASSERT_TRUE(store.Build(map).ok());
   TileId id = store.TileAt({15, 10});
   std::string good = store.RawTilesCopy().at(id.Morton());
@@ -603,6 +548,28 @@ TEST(TileStoreViewTest, CorruptTileQuarantinesOnViewPath) {
   EXPECT_TRUE(repaired->view.FindLanelet(1).has_value());
 }
 
+TEST(TileStoreViewTest, FramedNonTileBlobIsQuarantinedNotServed) {
+  // A CRC-valid frame whose payload is not a v3 tile (here a full-map
+  // SerializeMap blob) is as unservable as a corrupt one: both read
+  // paths report kDataLoss and share one quarantine entry.
+  HdMap map = TwoTileWorldWithSharedRegElement();
+  TileStore store(TileStore::Options{.tile_size_m = 100.0});
+  ASSERT_TRUE(store.Build(map).ok());
+  TileId id = store.TileAt({15, 10});
+  store.PutRawTile(id, SerializeMap(map));
+
+  EXPECT_EQ(store.LoadTile(id).status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(store.GetTileView(id).status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(store.NumQuarantined(), 1u);
+
+  store.PutTile(id, map);
+  EXPECT_EQ(store.NumQuarantined(), 0u);
+  auto view = store.GetTileView(id);
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  EXPECT_TRUE(view->view.FindLanelet(1).has_value());
+  EXPECT_TRUE(store.LoadTile(id).ok());
+}
+
 TEST(TileStoreConcurrencyTest, ConcurrentViewersRaceReplacesSafely) {
   // GetTileView readers race a writer alternating corrupt and pristine
   // bytes for the same tile. Under TSan this proves the view cache and
@@ -610,8 +577,7 @@ TEST(TileStoreConcurrencyTest, ConcurrentViewersRaceReplacesSafely) {
   // view never goes bad mid-read and (b) no stale quarantine or cached
   // view outlives the final repair.
   HdMap map = SmallTown();
-  TileStore store(TileStore::Options{.tile_size_m = 128.0,
-                                     .format = TileFormat::kFlatV3});
+  TileStore store(TileStore::Options{.tile_size_m = 128.0});
   ASSERT_TRUE(store.Build(map).ok());
   auto in_box = store.TilesInBox(map.BoundingBox());
   ASSERT_TRUE(in_box.ok());

@@ -1,7 +1,7 @@
 // Tests for tile format v3 and the span-based view API: in-place
 // accessors must agree element-for-element with the source map,
-// Materialize must be equivalent to a v1 round trip, and TileView::Create
-// must fail closed on every structural violation of the offset-table
+// Materialize must be equivalent to a SerializeMap round trip, and
+// TileView::Create must fail closed on every structural violation of the offset-table
 // layout — targeted corruptions are re-framed with a VALID CRC so the
 // structural validator (not the frame checksum) is what rejects them.
 
@@ -131,8 +131,9 @@ void WriteU32(std::string* s, size_t off, uint32_t v) {
 
 /// The bare v3 payload (bytes after the 16-byte frame header).
 std::string PayloadOf(std::string_view framed) {
-  EXPECT_TRUE(IsFramed(framed));
-  return std::string(framed.substr(kWireFrameHeaderSize));
+  auto payload = UnwrapFrame(framed);
+  EXPECT_TRUE(payload.ok()) << payload.status().ToString();
+  return std::string(payload.ok() ? *payload : std::string_view());
 }
 
 // Payload header layout (see tile_view.h): magic, version, num_sections,
@@ -160,7 +161,6 @@ void ExpectRejected(const std::string& payload, const char* what) {
 TEST(TileViewTest, ViewsMatchSourceMapElementForElement) {
   HdMap map = RichMap();
   std::string blob = EncodeTileV3(map);
-  ASSERT_TRUE(IsTileV3(blob));
   auto view = TileView::Create(std::string_view(blob));
   ASSERT_TRUE(view.ok()) << view.status().ToString();
 
@@ -291,6 +291,18 @@ TEST(TileViewTest, TrustSkipsChecksumVerifyDoesNot) {
       TileView::Create(std::string_view(blob), FrameChecksum::kTrust);
   ASSERT_TRUE(trusted.ok()) << trusted.status().ToString();
   EXPECT_GT(trusted->NumElements(), 0u);
+}
+
+TEST(TileViewTest, UnframedPayloadRejected) {
+  // Create accepts framed bytes only: the bare payload of a valid tile
+  // is kDataLoss under either checksum mode.
+  std::string payload = PayloadOf(EncodeTileV3(RichMap()));
+  EXPECT_EQ(TileView::Create(std::string_view(payload)).status().code(),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(TileView::Create(std::string_view(payload), FrameChecksum::kTrust)
+                .status()
+                .code(),
+            StatusCode::kDataLoss);
 }
 
 // --- Targeted offset-table corruptions (valid frame CRC each time) ---
@@ -435,7 +447,8 @@ TEST(TileViewCorruptionTest, ReframedPayloadFuzzNeverCrashes) {
       }
       if (bad.empty()) break;
     }
-    auto view = TileView::Create(std::string_view(WrapFrame(bad)));
+    std::string framed = WrapFrame(bad);  // Outlives the view below.
+    auto view = TileView::Create(std::string_view(framed));
     if (view.ok()) {
       // A mutation that only hit dead bytes (padding) may survive; the
       // surviving view must still be fully traversable.
