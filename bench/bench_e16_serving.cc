@@ -355,7 +355,7 @@ int main(int argc, char** argv) {
     std::printf("\nmetrics (prometheus):\n%s",
                 registry.RenderPrometheus().c_str());
   } else if (metrics_format == "json") {
-    std::printf("\nmetrics (json):\n%s", registry.RenderJson().c_str());
+    std::printf("\nmetrics (json):\n%s\n", registry.RenderJson().c_str());
   } else {
     std::printf("\nmetrics registry:\n%s", registry.Render().c_str());
   }

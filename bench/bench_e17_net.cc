@@ -4,7 +4,7 @@
 // open-loop generator: request send times are scheduled up front at a
 // fixed rate, independent of response arrival, so queueing delay shows
 // up as latency instead of silently throttling the offered load (the
-// closed-loop coordination-omission trap). Five phases:
+// closed-loop coordination-omission trap). Four phases:
 //
 //   1. Calibrate — one closed-loop connection measures the peak
 //      back-to-back GetTile throughput R_max.
@@ -15,17 +15,13 @@
 //      server must shed with typed BUSY while goodput for admitted
 //      requests stays near the pre-saturation peak, rather than letting
 //      an unbounded queue grow until every response is late.
-//   3. Coalescing — K clients fire the identical GetRegion at a server
-//      whose handler is artificially slowed (the test hook widens the
-//      in-flight window); the computations counter shows K requests
-//      collapsing into 1 region serialization.
-//   4. Failover — a 1-leader/2-follower replication cluster takes a
+//   3. Failover — a 1-leader/2-follower replication cluster takes a
 //      closed-loop write load; the leader is killed mid-run. Reports
 //      time-to-promotion (the degraded window the FailoverController
 //      measured between heartbeat-timeout detection and the new leader
 //      installing), write attempts lost while leaderless, and the
 //      FAILOVER_* records from the controller's event log.
-//   5. Observability overhead — closed-loop GetTile p50/p99 with trace
+//   4. Observability overhead — closed-loop GetTile p50/p99 with trace
 //      propagation off, on with an unsampled recorder (trace ids ride
 //      the wire, nothing records), and on with every request sampled;
 //      the budget for either "on" mode is < 5% on p50. Then kStats is
@@ -33,18 +29,16 @@
 //      introspection plane is exempt from admission shedding, so the
 //      scrape must keep answering while GetTiles are shed with BUSY.
 //
-// The run fails (nonzero exit) if coalescing does not collapse
-// duplicates, if the 2x overload step sheds nothing, if goodput
-// under 2x overload falls below half the 1x goodput (the report prints
-// the within-20% check; the exit gate is looser so CI boxes with one
-// core don't flake), if no failover completes after the leader kill,
+// The run fails (nonzero exit) if the 2x overload step sheds nothing, if
+// goodput under 2x overload falls below half the 1x goodput (the report
+// prints the within-20% check; the exit gate is looser so CI boxes with
+// one core don't flake), if no failover completes after the leader kill,
 // if trace propagation costs more than 50% on p50 (the report prints
 // the 5% budget; microsecond RTTs on shared boxes are too noisy for a
 // tight exit gate), or if the kStats scrape stops answering under
 // overload.
 //
 // Usage: bench_e17_net [--smoke] [--seconds=S] [--connections=C]
-//                      [--coalesce-clients=K]
 
 #include <atomic>
 #include <algorithm>
@@ -286,7 +280,7 @@ LoadResult RunStepWithLatency(uint16_t port, const std::vector<TileId>& tiles,
   return out;
 }
 
-/// Phase 5 helper: closed-loop GetTile RTTs on one connection with the
+/// Phase 4 helper: closed-loop GetTile RTTs on one connection with the
 /// client's trace propagation toggled. The Global recorder's
 /// configuration (enabled / sample rate) is the caller's business —
 /// this only drives requests and collects percentiles.
@@ -318,55 +312,6 @@ LatencyPair MeasureGetTileLatency(uint16_t port,
   return out;
 }
 
-/// Coalescing demo on a dedicated slow-handler server: K concurrent
-/// identical GetRegions must collapse into one computation.
-bool RunCoalesceDemo(const MapService& service, size_t k,
-                     uint64_t* computations_delta, uint64_t* coalesced) {
-  // A probability-1.0 delay at the compute site widens the in-flight
-  // window.
-  FaultInjector slow(0xC0A1);
-  slow.AddPolicy({.site = TileServer::kComputeFaultSite,
-                  .kind = FaultKind::kDelay,
-                  .probability = 1.0,
-                  .delay_ms = 100});
-  TileServer::Options opt;
-  opt.worker_threads = 4;
-  opt.fault_injector = &slow;
-  TileServer server(service, opt);
-  if (!server.Start().ok()) return false;
-  // The server shares the service's registry, so read deltas — the load
-  // phases already bumped these counters.
-  double comp_before =
-      server.metrics().GetCounter("net.computations")->value();
-  double coal_before =
-      server.metrics().GetCounter("net.coalesced")->value();
-
-  Aabb box = service.snapshot()->map.BoundingBox();
-  std::vector<std::unique_ptr<NetClient>> clients;
-  for (size_t i = 0; i < k; ++i) {
-    auto c = std::make_unique<NetClient>();
-    if (!c->Connect("127.0.0.1", server.port()).ok()) return false;
-    NetRequest req;
-    req.type = NetRequestType::kGetRegion;
-    req.request_id = i + 1;
-    req.box = box;
-    if (!c->Send(req).ok()) return false;
-    clients.push_back(std::move(c));
-  }
-  size_t ok = 0;
-  for (auto& c : clients) {
-    auto resp = c->ReadResponse();
-    if (resp.ok() && resp->code == NetResponseCode::kOk) ++ok;
-  }
-  *computations_delta = static_cast<uint64_t>(
-      server.metrics().GetCounter("net.computations")->value() -
-      comp_before);
-  *coalesced = static_cast<uint64_t>(
-      server.metrics().GetCounter("net.coalesced")->value() - coal_before);
-  server.Stop();
-  return ok == k;
-}
-
 struct FailoverResult {
   bool promoted = false;
   double time_to_promotion_ms = 0;  // Controller-measured degraded window.
@@ -377,7 +322,7 @@ struct FailoverResult {
   std::vector<EventLog::Event> events;
 };
 
-/// Phase 4: kill the leader of a live 3-node cluster under closed-loop
+/// Phase 3: kill the leader of a live 3-node cluster under closed-loop
 /// write load and measure the promotion. The writer keeps hammering
 /// through the outage, so "writes lost at kill" is the count of attempts
 /// that failed between the kill and the first ack from the new leader —
@@ -483,15 +428,12 @@ int Run(int argc, char** argv) {
   bool smoke = false;
   double seconds = 3.0;
   size_t connections = 4;
-  size_t coalesce_clients = 8;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
     else if (std::strncmp(argv[i], "--seconds=", 10) == 0)
       seconds = std::atof(argv[i] + 10);
     else if (std::strncmp(argv[i], "--connections=", 14) == 0)
       connections = static_cast<size_t>(std::atoi(argv[i] + 14));
-    else if (std::strncmp(argv[i], "--coalesce-clients=", 19) == 0)
-      coalesce_clients = static_cast<size_t>(std::atoi(argv[i] + 19));
   }
   if (smoke) seconds = std::min(seconds, 1.0);
 
@@ -554,17 +496,7 @@ int Run(int argc, char** argv) {
               busy_total);
   server.Stop();
 
-  // Phase 3: coalescing collapse.
-  uint64_t comp_delta = 0, coalesced = 0;
-  bool coalesce_ok =
-      RunCoalesceDemo(service, coalesce_clients, &comp_delta, &coalesced);
-  std::printf(
-      "coalescing: %zu identical GetRegions -> %llu computation(s), "
-      "%llu coalesced\n",
-      coalesce_clients, (unsigned long long)comp_delta,
-      (unsigned long long)coalesced);
-
-  // Phase 4: failover under write load.
+  // Phase 3: failover under write load.
   FailoverResult fo = RunFailoverDemo(seconds);
   std::printf(
       "failover: promotion %s | degraded window %.1f ms "
@@ -580,7 +512,7 @@ int Run(int argc, char** argv) {
                 event.detail.c_str());
   }
 
-  // Phase 5: observability overhead. Fresh server on the same world; the
+  // Phase 4: observability overhead. Fresh server on the same world; the
   // closed-loop RTT is compared with propagation off, on-but-unsampled
   // (trace ids ride the wire, nothing records), and on with every
   // request head-sampled. Then kStats is scraped while a 2x open-loop
@@ -593,7 +525,7 @@ int Run(int argc, char** argv) {
   obs_opt.stats_label = "bench-e17";
   TileServer obs_server(service, obs_opt);
   if (!obs_server.Start().ok()) {
-    std::fprintf(stderr, "phase-5 server start failed\n");
+    std::fprintf(stderr, "phase-4 server start failed\n");
     return 1;
   }
   const double obs_s = smoke ? 0.3 : std::min(seconds, 2.0);
@@ -673,8 +605,6 @@ int Run(int argc, char** argv) {
       std::max(results[0].goodput_hz, results[1].goodput_hz);
   double retention =
       peak_goodput > 0 ? r2.goodput_hz / peak_goodput : 0;
-  bench::PrintRow("coalescing collapse (K identical -> 1)", "1 computation",
-                  bench::Fmt("%.0f", (double)comp_delta) + " computation(s)");
   bench::PrintRow("2x overload sheds with typed BUSY", "> 0 BUSY",
                   bench::Fmt("%.0f", (double)r2.busy) + " BUSY");
   bench::PrintRow("goodput retention at 2x overload", ">= 80% of peak",
@@ -691,10 +621,6 @@ int Run(int argc, char** argv) {
                   bench::Fmt("%.1f ms", scrape_p99));
 
   int rc = 0;
-  if (!coalesce_ok || comp_delta != 1) {
-    std::fprintf(stderr, "FAIL: coalescing did not collapse duplicates\n");
-    rc = 1;
-  }
   if (r2.busy == 0) {
     std::fprintf(stderr, "FAIL: no BUSY shedding at 2x overload\n");
     rc = 1;

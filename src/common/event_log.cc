@@ -2,46 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cinttypes>
-#include <cstdio>
 #include <utility>
 
+#include "common/json.h"
+
 namespace hdmap {
-
-namespace {
-
-void AppendEscaped(std::string_view value, std::string* out) {
-  for (char c : value) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
-}
-
-}  // namespace
 
 EventLog::EventLog(size_t capacity) : capacity_(std::max<size_t>(1, capacity)) {}
 
@@ -134,19 +99,20 @@ bool EventLog::TypeFromString(std::string_view name, Type* out) {
 }
 
 void EventLog::AppendJson(const Event& event, std::string* out) {
-  char buf[128];
-  std::snprintf(buf, sizeof(buf),
-                "{\"seq\":%" PRIu64 ",\"unix_ms\":%" PRId64 ",\"type\":\"",
-                event.seq, event.unix_ms);
-  *out += buf;
-  *out += TypeToString(event.type);
-  *out += "\",\"code\":\"";
-  *out += StatusCodeToString(event.code);
-  std::snprintf(buf, sizeof(buf), "\",\"trace_id\":\"%" PRIu64 "\",\"detail\":\"",
-                event.trace_id);
-  *out += buf;
-  AppendEscaped(event.detail, out);
-  *out += "\"}";
+  JsonWriter writer(out);
+  AppendJson(event, writer);
+}
+
+void EventLog::AppendJson(const Event& event, JsonWriter& out) {
+  out.BeginObject()
+      .Key("seq").Uint(event.seq)
+      .Key("unix_ms").Int(event.unix_ms)
+      .Key("type").String(TypeToString(event.type))
+      .Key("code").String(StatusCodeToString(event.code))
+      // A string: 64-bit ids do not survive a parser's double.
+      .Key("trace_id").String(std::to_string(event.trace_id))
+      .Key("detail").String(event.detail)
+      .EndObject();
 }
 
 }  // namespace hdmap

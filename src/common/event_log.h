@@ -12,6 +12,8 @@
 
 namespace hdmap {
 
+class JsonWriter;
+
 /// Bounded, thread-safe log of typed operational events: the "why"
 /// channel next to the metrics registry's "how much". Every degradation
 /// a serving stack can report — a quarantined tile, WAL data loss, an
@@ -109,6 +111,8 @@ class EventLog {
   /// shape the kStats introspection response and the ClusterInspector's
   /// failover-timeline join both consume.
   static void AppendJson(const Event& event, std::string* out);
+  /// The same object written as one value into `out`.
+  static void AppendJson(const Event& event, JsonWriter& out);
 
  private:
   mutable std::mutex mu_;

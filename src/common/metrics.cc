@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <limits>
 
+#include "common/json.h"
+
 namespace hdmap {
 
 namespace {
@@ -68,40 +70,6 @@ std::string PromEscapeHelp(const std::string& value) {
       out += "\\n";
     } else {
       out += c;
-    }
-  }
-  return out;
-}
-
-std::string JsonEscape(const std::string& value) {
-  std::string out;
-  out.reserve(value.size());
-  for (char c : value) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
     }
   }
   return out;
@@ -360,58 +328,49 @@ std::string MetricsRegistry::RenderPrometheus() const {
 }
 
 std::string MetricsRegistry::RenderJson() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::string out = "{\n  \"counters\": [";
-
-  bool first = true;
-  for (const auto& [name, counter] : counters_) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%llu",
-                  static_cast<unsigned long long>(counter->value()));
-    out += first ? "\n" : ",\n";
-    out += "    {\"name\": \"" + JsonEscape(name) +
-           "\", \"type\": \"counter\", \"unit\": \"1\", \"value\": " + buf +
-           "}";
-    first = false;
-  }
-  out += first ? "],\n" : "\n  ],\n";
-
-  out += "  \"gauges\": [";
-  first = true;
-  for (const auto& [name, gauge] : gauges_) {
-    out += first ? "\n" : ",\n";
-    out += "    {\"name\": \"" + JsonEscape(name) +
-           "\", \"type\": \"gauge\", \"unit\": \"1\", \"value\": " +
-           FormatDouble(gauge->value()) + "}";
-    first = false;
-  }
-  out += first ? "],\n" : "\n  ],\n";
-
-  out += "  \"histograms\": [";
-  first = true;
-  for (const auto& [name, latency] : latencies_) {
-    char count_buf[32];
-    std::snprintf(count_buf, sizeof(count_buf), "%zu", latency->count());
-    out += first ? "\n" : ",\n";
-    out += "    {\"name\": \"" + JsonEscape(name) +
-           "\", \"type\": \"histogram\", \"unit\": \"seconds\", "
-           "\"count\": " +
-           count_buf + ", \"sum\": " + FormatDouble(latency->sum_seconds()) +
-           ", \"mean\": " + FormatDouble(latency->mean_seconds()) +
-           ", \"min\": " + FormatDouble(latency->min_seconds()) +
-           ", \"max\": " + FormatDouble(latency->max_seconds()) +
-           ", \"p50\": " +
-           FormatDouble(latency->ApproxPercentileSeconds(50.0)) +
-           ", \"p90\": " +
-           FormatDouble(latency->ApproxPercentileSeconds(90.0)) +
-           ", \"p99\": " +
-           FormatDouble(latency->ApproxPercentileSeconds(99.0)) + "}";
-    first = false;
-  }
-  out += first ? "]\n" : "\n  ]\n";
-
-  out += "}\n";
+  std::string out;
+  JsonWriter writer(&out);
+  RenderJson(writer);
   return out;
+}
+
+void MetricsRegistry::RenderJson(JsonWriter& out) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  out.BeginObject().Key("counters").BeginArray();
+  for (const auto& [name, counter] : counters_) {
+    out.BeginObject()
+        .Key("name").String(name)
+        .Key("type").String("counter")
+        .Key("unit").String("1")
+        .Key("value").Uint(counter->value())
+        .EndObject();
+  }
+  out.EndArray().Key("gauges").BeginArray();
+  for (const auto& [name, gauge] : gauges_) {
+    out.BeginObject()
+        .Key("name").String(name)
+        .Key("type").String("gauge")
+        .Key("unit").String("1")
+        .Key("value").Double(gauge->value())
+        .EndObject();
+  }
+  out.EndArray().Key("histograms").BeginArray();
+  for (const auto& [name, latency] : latencies_) {
+    out.BeginObject()
+        .Key("name").String(name)
+        .Key("type").String("histogram")
+        .Key("unit").String("seconds")
+        .Key("count").Uint(latency->count())
+        .Key("sum").Double(latency->sum_seconds())
+        .Key("mean").Double(latency->mean_seconds())
+        .Key("min").Double(latency->min_seconds())
+        .Key("max").Double(latency->max_seconds())
+        .Key("p50").Double(latency->ApproxPercentileSeconds(50.0))
+        .Key("p90").Double(latency->ApproxPercentileSeconds(90.0))
+        .Key("p99").Double(latency->ApproxPercentileSeconds(99.0))
+        .EndObject();
+  }
+  out.EndArray().EndObject();
 }
 
 std::vector<std::string> MetricsRegistry::Names() const {

@@ -14,6 +14,8 @@
 
 namespace hdmap {
 
+class JsonWriter;
+
 /// Monotonic counter (events served, cache hits, errors). Increment is
 /// lock-free; safe from any thread. Deliberately has no Reset(): exported
 /// snapshots must be monotonic (Prometheus counters assume it), so tests
@@ -159,6 +161,9 @@ class MetricsRegistry {
   /// type and unit (latencies in seconds). Keys and ordering are part of
   /// the contract — scrapers may depend on them.
   std::string RenderJson() const;
+  /// The same document written as one value into `out` (the kStats
+  /// response embeds it).
+  void RenderJson(JsonWriter& out) const;
 
   /// Every registered instrument name (raw `subsystem.verb{TAG}` form,
   /// before Prometheus sanitization), sorted. The metrics-name lint test

@@ -1,8 +1,8 @@
 #include "common/trace.h"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
+
+#include "common/json.h"
 
 namespace hdmap {
 
@@ -150,34 +150,39 @@ std::string TraceRecorder::ExportChromeTraceJson(
   std::vector<TraceEvent> events = Snapshot();
   std::string out;
   out.reserve(events.size() * 220 + 192);
-  out += "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  char buf[448];
+  JsonWriter w(&out);
+  w.BeginObject().Key("displayTimeUnit").String("ms");
+  w.Key("traceEvents").BeginArray();
   // Perfetto names the process track from this metadata record, which
   // is what makes a merged multi-node export readable.
-  std::snprintf(buf, sizeof(buf),
-                "\n{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%u,"
-                "\"args\":{\"name\":\"%s\"}}",
-                process_id, process_label.c_str());
-  out += buf;
+  w.BeginObject()
+      .Key("name").String("process_name")
+      .Key("ph").String("M")
+      .Key("pid").Uint(process_id)
+      .Key("args").BeginObject().Key("name").String(process_label).EndObject()
+      .EndObject();
   for (const TraceEvent& e : events) {
-    std::snprintf(
-        buf, sizeof(buf),
-        ",\n{\"name\":\"%s\",\"cat\":\"hdmap\",\"ph\":\"X\","
-        "\"ts\":%.3f,\"dur\":%.3f,\"pid\":%u,\"tid\":%u,"
-        "\"args\":{\"trace_id\":\"%" PRIu64 "\",\"span_id\":\"%" PRIu64
-        "\",\"parent_span_id\":\"%" PRIu64
-        "\",\"status\":\"%.*s\",\"slow\":%s,\"sampled\":%s}}",
-        e.name,
-        static_cast<double>(e.start_ns) / 1e3 +
-            static_cast<double>(wall_anchor_us_),
-        static_cast<double>(e.duration_ns) / 1e3, process_id, e.thread_id,
-        e.trace_id, e.span_id, e.parent_span_id,
-        static_cast<int>(StatusCodeToString(e.status).size()),
-        StatusCodeToString(e.status).data(), e.slow ? "true" : "false",
-        e.sampled ? "true" : "false");
-    out += buf;
+    w.BeginObject()
+        .Key("name").String(e.name)
+        .Key("cat").String("hdmap")
+        .Key("ph").String("X")
+        .Key("ts").Double(static_cast<double>(e.start_ns) / 1e3 +
+                          static_cast<double>(wall_anchor_us_))
+        .Key("dur").Double(static_cast<double>(e.duration_ns) / 1e3)
+        .Key("pid").Uint(process_id)
+        .Key("tid").Uint(e.thread_id);
+    // Ids travel as strings: 64-bit values do not survive a double.
+    w.Key("args").BeginObject()
+        .Key("trace_id").String(std::to_string(e.trace_id))
+        .Key("span_id").String(std::to_string(e.span_id))
+        .Key("parent_span_id").String(std::to_string(e.parent_span_id))
+        .Key("status").String(StatusCodeToString(e.status))
+        .Key("slow").Bool(e.slow)
+        .Key("sampled").Bool(e.sampled)
+        .EndObject();
+    w.EndObject();
   }
-  out += "\n]}\n";
+  w.EndArray().EndObject();
   return out;
 }
 

@@ -145,7 +145,7 @@ class TraceRecorder {
   /// pid (with a process_name metadata record naming the track
   /// `process_label`), and timestamps are shifted by the recorder's
   /// wall-clock anchor so exports from different processes share one
-  /// timeline. Concatenate per-node exports with MergeChromeTraceJson
+  /// timeline. Merge per-node exports with MergeChromeTraceJson
   /// (src/obs) and spans line up across the process boundary.
   std::string ExportChromeTraceJson(uint32_t process_id,
                                     const std::string& process_label) const;

@@ -159,17 +159,11 @@ const Landmark* HdMap::FindLandmark(ElementId id) const {
 const LineFeature* HdMap::FindLineFeature(ElementId id) const {
   return FindIn(line_features_, id);
 }
-const AreaFeature* HdMap::FindAreaFeature(ElementId id) const {
-  return FindIn(area_features_, id);
-}
 const Lanelet* HdMap::FindLanelet(ElementId id) const {
   return FindIn(lanelets_, id);
 }
 const RegulatoryElement* HdMap::FindRegulatoryElement(ElementId id) const {
   return FindIn(regulatory_elements_, id);
-}
-const LaneBundle* HdMap::FindLaneBundle(ElementId id) const {
-  return FindIn(lane_bundles_, id);
 }
 const MapNode* HdMap::FindMapNode(ElementId id) const {
   return FindIn(map_nodes_, id);

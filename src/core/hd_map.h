@@ -73,10 +73,8 @@ class HdMap {
 
   const Landmark* FindLandmark(ElementId id) const;
   const LineFeature* FindLineFeature(ElementId id) const;
-  const AreaFeature* FindAreaFeature(ElementId id) const;
   const Lanelet* FindLanelet(ElementId id) const;
   const RegulatoryElement* FindRegulatoryElement(ElementId id) const;
-  const LaneBundle* FindLaneBundle(ElementId id) const;
   const MapNode* FindMapNode(ElementId id) const;
 
   const std::map<ElementId, Landmark>& landmarks() const {

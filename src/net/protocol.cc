@@ -33,22 +33,6 @@ std::string WrapBody(uint32_t magic, std::string_view body, uint32_t crc) {
 
 }  // namespace
 
-std::string_view NetResponseCodeToString(NetResponseCode code) {
-  switch (code) {
-    case NetResponseCode::kOk:
-      return "OK";
-    case NetResponseCode::kNotModified:
-      return "NOT_MODIFIED";
-    case NetResponseCode::kBusy:
-      return "BUSY";
-    case NetResponseCode::kDelta:
-      return "DELTA";
-    case NetResponseCode::kError:
-      return "ERROR";
-  }
-  return "UNKNOWN";
-}
-
 std::string EncodeRequestFrame(const NetRequest& request) {
   TraceContext ctx;
   ctx.trace_id = request.trace_id;

@@ -81,8 +81,8 @@ namespace hdmap {
 ///
 /// request_id is an opaque client token echoed in the response meta;
 /// clients use it to pair pipelined responses with requests. Responses to
-/// one connection may arrive in any order (the server coalesces and
-/// schedules across worker threads).
+/// one connection may arrive in any order (the server schedules them
+/// across worker threads).
 enum class NetRequestType : uint8_t {
   kPing = 0,
   kGetTile = 1,
@@ -123,8 +123,6 @@ enum class NetResponseCode : uint8_t {
   kDelta = 3,
   kError = 4,
 };
-
-std::string_view NetResponseCodeToString(NetResponseCode code);
 
 /// One decoded request.
 struct NetRequest {

@@ -12,14 +12,11 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cinttypes>
-#include <cstdio>
 #include <cstring>
 #include <optional>
 #include <utility>
 
 #include "common/trace.h"
-#include "core/binary_io.h"
 #include "core/tile_view.h"
 #include "core/wire_frame.h"
 
@@ -37,24 +34,6 @@ uint32_t HeaderCrcAt(std::string_view buffer) {
   return crc;
 }
 
-/// Coalescing key: request type + args bytes. have_version is excluded —
-/// only full fetches reach the coalescing map, and a full fetch's result
-/// does not depend on what the client already holds.
-std::string CoalesceKey(const NetRequest& request) {
-  BufferWriter key;
-  key.WriteU8(static_cast<uint8_t>(request.type));
-  if (request.type == NetRequestType::kGetTile) {
-    key.WriteI32(request.tile.x);
-    key.WriteI32(request.tile.y);
-  } else if (request.type == NetRequestType::kGetRegion) {
-    key.WriteF64(request.box.min.x);
-    key.WriteF64(request.box.min.y);
-    key.WriteF64(request.box.max.x);
-    key.WriteF64(request.box.max.y);
-  }
-  return key.Release();
-}
-
 }  // namespace
 
 TileServer::Connection::~Connection() {
@@ -69,7 +48,6 @@ TileServer::TileServer(const MapService& service, Options options)
       events_(options_.event_log_capacity) {
   requests_ = metrics_->GetCounter("net.requests");
   busy_rejected_ = metrics_->GetCounter("net.busy_rejected");
-  coalesced_ = metrics_->GetCounter("net.coalesced");
   computations_ = metrics_->GetCounter("net.computations");
   not_modified_ = metrics_->GetCounter("net.not_modified");
   deltas_ = metrics_->GetCounter("net.deltas");
@@ -84,12 +62,9 @@ TileServer::TileServer(const MapService& service, Options options)
   metrics_->SetHelp("net.requests", "Requests admitted by the tile server");
   metrics_->SetHelp("net.busy_rejected",
                     "Requests shed with a BUSY response by admission control");
-  metrics_->SetHelp("net.coalesced",
-                    "Requests served as waiters on another request's "
-                    "in-flight computation");
   metrics_->SetHelp("net.computations",
-                    "Full-fetch payload computations actually run (admitted "
-                    "full fetches minus coalesced waiters)");
+                    "Full-fetch payload computations run (one per admitted "
+                    "full fetch)");
   metrics_->SetHelp("net.request",
                     "Tile-server request latency, admission to response");
   metrics_->SetHelp("net.connections_reaped",
@@ -353,7 +328,7 @@ void TileServer::HandleFrame(const std::shared_ptr<Connection>& conn,
   // overload is exactly when the introspection plane earns its keep. It
   // still counts against pending_/inflight below, so a scrape cannot
   // leak accounting, and its response is tiny and computed without
-  // touching the coalescing or snapshot paths.
+  // touching the snapshot paths.
   const char* shed_reason = nullptr;
   if (request.type == NetRequestType::kStats) {
     // Never shed.
@@ -458,39 +433,11 @@ void TileServer::ExecuteRequest(
       // History fell short (or the chain is broken): full fetch below.
     }
   }
-  // Full fetch, coalesced: identical concurrent requests share one
-  // computation and every caller gets byte-identical payload bytes.
-  std::string key = CoalesceKey(request);
-  {
-    std::lock_guard<std::mutex> lock(coalesce_mu_);
-    auto it = inflight_.find(key);
-    if (it != inflight_.end()) {
-      it->second->waiters.push_back(
-          Waiter{conn, request.request_id, admitted});
-      coalesced_->Increment();
-      return;  // The owner writes this response.
-    }
-    inflight_.emplace(key, std::make_shared<Computation>());
-  }
   uint64_t version = snap->version;
   auto [code, status, payload] = ComputeFull(request, &version);
-  std::vector<Waiter> waiters;
-  {
-    std::lock_guard<std::mutex> lock(coalesce_mu_);
-    auto it = inflight_.find(key);
-    waiters = std::move(it->second->waiters);
-    inflight_.erase(it);
-    // After the erase (same critical section as waiter joins), no new
-    // waiter can attach to this computation — late duplicates start
-    // their own.
-  }
   if (status != StatusCode::kOk) span.SetStatus(status);
   FinishRequest(conn, code, status, request.request_id, version, payload,
                 admitted);
-  for (const Waiter& waiter : waiters) {
-    FinishRequest(waiter.conn, code, status, waiter.request_id, version,
-                  payload, waiter.admitted);
-  }
 }
 
 std::tuple<NetResponseCode, StatusCode, std::string> TileServer::ComputeFull(
@@ -537,22 +484,25 @@ std::string TileServer::BuildStatsPayload(const NetRequest& request) const {
   // bounds the merged event array (the ring caps each source already;
   // the clamp guards a hostile request from inflating the response).
   size_t max_events = std::min<uint32_t>(request.stats_max_events, 1024);
-  std::string out = "{\"node\":{\"label\":\"";
-  out += options_.stats_label.empty() ? "hdmap" : options_.stats_label;
-  out += "\",\"health\":\"";
-  out += ServiceHealthToString(service_.Health());
-  char buf[96];
   int64_t unix_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
                         std::chrono::system_clock::now().time_since_epoch())
                         .count();
-  std::snprintf(buf, sizeof(buf),
-                "\",\"version\":%" PRIu64 ",\"unix_ms\":%" PRId64 "},",
-                service_.version(), unix_ms);
-  out += buf;
-  out += "\"replication\":";
-  out += options_.replication_status_json != nullptr
-             ? options_.replication_status_json()
-             : "null";
+  std::string out;
+  JsonWriter w(&out);
+  w.BeginObject();
+  w.Key("node").BeginObject()
+      .Key("label").String(options_.stats_label.empty() ? "hdmap"
+                                                        : options_.stats_label)
+      .Key("health").String(ServiceHealthToString(service_.Health()))
+      .Key("version").Uint(service_.version())
+      .Key("unix_ms").Int(unix_ms)
+      .EndObject();
+  w.Key("replication");
+  if (options_.replication_status_json != nullptr) {
+    options_.replication_status_json(w);
+  } else {
+    w.Null();
+  }
   // Merge the three event sources (server edge, service, node extras)
   // newest-first so a scraper sees one timeline per node.
   std::vector<EventLog::Event> events = events_.Recent(max_events);
@@ -570,16 +520,12 @@ std::string TileServer::BuildStatsPayload(const NetRequest& request) const {
               return a.seq > b.seq;
             });
   if (events.size() > max_events) events.resize(max_events);
-  out += ",\"events\":[";
-  for (size_t i = 0; i < events.size(); ++i) {
-    if (i != 0) out += ",";
-    EventLog::AppendJson(events[i], &out);
-  }
-  out += "],\"metrics\":";
-  out += metrics_->RenderJson();
-  // RenderJson ends with a newline; keep the document single-trailing.
-  while (!out.empty() && out.back() == '\n') out.pop_back();
-  out += "}\n";
+  w.Key("events").BeginArray();
+  for (const EventLog::Event& event : events) EventLog::AppendJson(event, w);
+  w.EndArray();
+  w.Key("metrics");
+  metrics_->RenderJson(w);
+  w.EndObject();
   return out;
 }
 

@@ -15,6 +15,7 @@
 
 #include "common/event_log.h"
 #include "common/fault_injection.h"
+#include "common/json.h"
 #include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "net/protocol.h"
@@ -51,13 +52,6 @@ class ReplicationHandler {
 /// snapshot's TileStore blobs — the reply path never re-serializes a
 /// tile.
 ///
-/// Request coalescing: concurrent identical GetRegion/GetTile full
-/// fetches (same args, both unconditional) collapse into one
-/// computation; late arrivals park as waiters on the in-flight entry and
-/// every caller receives byte-identical payload bytes. This is the
-/// thundering-herd defence for fleet rollouts where thousands of
-/// vehicles cross the same map area after a publish.
-///
 /// Admission control: a global pending-request cap and a per-connection
 /// in-flight cap bound queueing. Beyond either cap the server answers
 /// immediately with kBusy (and a kBusyRejected event) instead of
@@ -73,7 +67,7 @@ class ReplicationHandler {
 /// Observability: every admitted request runs under a root "net.request"
 /// TraceSpan (service-endpoint spans nest beneath it), latencies land in
 /// "net.request_seconds" with "net.*" counters alongside
-/// (requests/busy_rejected/coalesced/computations/bytes/...), and
+/// (requests/busy_rejected/computations/bytes/...), and
 /// BUSY/slow events are appended to the server's EventLog.
 ///
 /// Thread safety: Start/Stop from one thread. Everything else here is
@@ -104,8 +98,8 @@ class TileServer {
     /// Fault seams at site "net.recv" (request-body corruption after
     /// framing, so CRC rejection paths are testable) and "net.compute"
     /// (a kDelay policy sleeps inside every GetTile/GetRegion
-    /// computation, widening the coalescing/admission windows so tests
-    /// can deterministically pile up concurrent requests); null disables.
+    /// computation, widening the admission window so tests can
+    /// deterministically pile up concurrent requests); null disables.
     FaultInjector* fault_injector = nullptr;
     /// Connections with no received bytes and no in-flight requests for
     /// this long are reaped (closed, with a kConnectionReaped event and
@@ -119,10 +113,10 @@ class TileServer {
     ReplicationHandler* replication = nullptr;
     /// Node label reported in the kStats "node" block (empty = "hdmap").
     std::string stats_label;
-    /// When set, the kStats JSON response embeds this callback's output
-    /// as its "replication" value (ReplicationNode wires its status
-    /// document here); unset reports null.
-    std::function<std::string()> replication_status_json;
+    /// When set, writes the kStats JSON response's "replication" value
+    /// (exactly one JSON value; ReplicationNode wires its status document
+    /// here); unset reports null.
+    std::function<void(JsonWriter&)> replication_status_json;
     /// Extra event source merged into the kStats "events" array beside
     /// the server's and service's own logs (ReplicationNode wires its
     /// failover/catch-up events here). Called with the max event count.
@@ -189,19 +183,6 @@ class TileServer {
     std::atomic<bool> closed{false};
   };
 
-  /// One parked duplicate of an in-flight computation.
-  struct Waiter {
-    std::shared_ptr<Connection> conn;
-    uint64_t request_id = 0;
-    std::chrono::steady_clock::time_point admitted;
-  };
-
-  /// One in-flight GetRegion/GetTile computation; duplicates attach as
-  /// waiters. Guarded by coalesce_mu_.
-  struct Computation {
-    std::vector<Waiter> waiters;
-  };
-
   void IoLoop();
   void HandleAccept();
   /// IO-thread sweep closing connections idle past Options::idle_timeout_s
@@ -253,24 +234,15 @@ class TileServer {
   /// IO-thread-only connection table (plus post-join cleanup in Stop).
   std::unordered_map<int, std::shared_ptr<Connection>> connections_;
   mutable std::mutex connections_mu_;  // Only for NumConnections().
-  size_t num_connections_ = 0;
 
   /// Admitted-but-unfinished requests across all connections.
   std::atomic<size_t> pending_{0};
-
-  /// In-flight full-fetch computations, keyed by serialized request args
-  /// (type + coordinates). Guarded by coalesce_mu_; an entry's waiters
-  /// are joined and drained under the same lock, so no waiter can attach
-  /// after its owner picked up the list.
-  std::mutex coalesce_mu_;
-  std::unordered_map<std::string, std::shared_ptr<Computation>> inflight_;
 
   mutable EventLog events_;
 
   // "net.*" instruments, resolved once at construction.
   Counter* requests_ = nullptr;
   Counter* busy_rejected_ = nullptr;
-  Counter* coalesced_ = nullptr;
   Counter* computations_ = nullptr;
   Counter* not_modified_ = nullptr;
   Counter* deltas_ = nullptr;

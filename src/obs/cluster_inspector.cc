@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <utility>
 
+#include "common/json.h"
 #include "net/protocol.h"
 #include "net/tile_server.h"
 
@@ -230,27 +231,31 @@ ClusterInspector::ClusterView ClusterInspector::View() const {
 
 std::string ClusterInspector::MergeChromeTraceJson(
     const std::vector<std::string>& exports) {
-  static constexpr std::string_view kPrefix =
-      "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  std::string out(kPrefix);
-  bool first = true;
-  for (const std::string& doc : exports) {
-    size_t open = doc.find(kPrefix);
-    if (open == std::string::npos) continue;
-    size_t close = doc.rfind(']');
-    if (close == std::string::npos || close <= open + kPrefix.size()) continue;
-    std::string_view inner(doc.data() + open + kPrefix.size(),
-                           close - open - kPrefix.size());
-    // Trim the emitter's trailing newline so joins stay tidy.
-    while (!inner.empty() && (inner.back() == '\n' || inner.back() == ' ')) {
-      inner.remove_suffix(1);
-    }
-    if (inner.empty()) continue;
-    if (!first) out += ',';
-    first = false;
-    out += inner;
+  std::vector<JsonValue> docs;
+  for (const std::string& text : exports) {
+    Result<JsonValue> parsed = ParseJson(text);
+    if (!parsed.ok()) continue;
+    const JsonValue* events = parsed->Find("traceEvents");
+    if (events == nullptr || !events->is_array()) continue;
+    docs.push_back(std::move(parsed).value());
   }
-  out += "\n]}\n";
+  // The first export's other members (display settings) carry over; the
+  // trace events of every export join one array.
+  std::string out;
+  JsonWriter w(&out);
+  w.BeginObject();
+  if (!docs.empty()) {
+    for (const auto& [key, value] : docs.front().object) {
+      if (key != "traceEvents") w.Key(key).Value(value);
+    }
+  }
+  w.Key("traceEvents").BeginArray();
+  for (const JsonValue& doc : docs) {
+    for (const JsonValue& event : doc.Find("traceEvents")->array) {
+      w.Value(event);
+    }
+  }
+  w.EndArray().EndObject();
   return out;
 }
 

@@ -13,7 +13,6 @@
 #include "common/event_log.h"
 #include "common/metrics.h"
 #include "common/result.h"
-#include "obs/json.h"
 
 namespace hdmap {
 
@@ -124,9 +123,10 @@ class ClusterInspector {
   /// reachable=true). Exposed for tests and offline tooling.
   static Result<NodeStats> ParseNodeStats(int node_id, std::string_view json);
 
-  /// Splices per-process Chrome-trace exports (ExportChromeTraceJson with
+  /// Merges per-process Chrome-trace exports (ExportChromeTraceJson with
   /// distinct process ids) into one document Perfetto loads as a single
-  /// multi-process timeline. Exports that do not look like trace JSON are
+  /// multi-process timeline: each export is parsed and its traceEvents
+  /// re-emitted. Exports that do not parse as a trace document are
   /// skipped.
   static std::string MergeChromeTraceJson(
       const std::vector<std::string>& exports);

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cinttypes>
-#include <cstdio>
 #include <utility>
 
 #include "core/serialization.h"
@@ -57,8 +55,8 @@ TileServer::Options ReplicationNode::ServerOptions() {
   if (server_options.stats_label.empty()) {
     server_options.stats_label = "node-" + std::to_string(opts_.node_id);
   }
-  server_options.replication_status_json = [this] {
-    return ReplicationStatusJson();
+  server_options.replication_status_json = [this](JsonWriter& out) {
+    ReplicationStatusJson(out);
   };
   server_options.extra_events = [this](size_t n) { return events_.Recent(n); };
   return server_options;
@@ -278,7 +276,7 @@ uint64_t ReplicationNode::applied_seq() const {
   return std::max(log_.end_seq(), replica_.applied_seq());
 }
 
-std::string ReplicationNode::ReplicationStatusJson() const {
+void ReplicationNode::ReplicationStatusJson(JsonWriter& out) const {
   std::shared_ptr<WalShipper> shipper;
   uint64_t last_publish = 0;
   {
@@ -286,35 +284,30 @@ std::string ReplicationNode::ReplicationStatusJson() const {
     shipper = shipper_;
     last_publish = last_publish_seq_;
   }
-  char buf[256];
-  std::string out;
-  out.reserve(512);
-  std::snprintf(buf, sizeof(buf),
-                "{\"node_id\":%d,\"role\":\"%s\",\"term\":%" PRIu64
-                ",\"applied_seq\":%" PRIu64 ",\"last_publish_seq\":%" PRIu64
-                ",\"log_start_seq\":%" PRIu64 ",\"log_end_seq\":%" PRIu64
-                ",\"ms_since_leader_contact\":%.1f,\"followers\":[",
-                opts_.node_id,
-                role_.load() == Role::kLeader ? "LEADER" : "FOLLOWER",
-                term_.load(), applied_seq(), last_publish, log_.start_seq(),
-                log_.end_seq(), MsSinceLeaderContact());
-  out += buf;
+  out.BeginObject()
+      .Key("node_id").Int(opts_.node_id)
+      .Key("role").String(role_.load() == Role::kLeader ? "LEADER"
+                                                        : "FOLLOWER")
+      .Key("term").Uint(term_.load())
+      .Key("applied_seq").Uint(applied_seq())
+      .Key("last_publish_seq").Uint(last_publish)
+      .Key("log_start_seq").Uint(log_.start_seq())
+      .Key("log_end_seq").Uint(log_.end_seq())
+      .Key("ms_since_leader_contact").Double(MsSinceLeaderContact())
+      .Key("followers").BeginArray();
   if (shipper != nullptr) {
     // Progress() takes the shipper's own mutex (then the log's); both sit
     // below write_mu_ in the lock order, and neither is held here.
-    bool first = true;
     for (const WalShipper::FollowerProgress& p : shipper->Progress()) {
-      if (!first) out += ',';
-      first = false;
-      std::snprintf(buf, sizeof(buf),
-                    "{\"node_id\":%d,\"acked_seq\":%" PRIu64
-                    ",\"lag_records\":%" PRIu64 ",\"lag_ms\":%.1f}",
-                    p.node_id, p.acked_seq, p.lag_records, p.lag_ms);
-      out += buf;
+      out.BeginObject()
+          .Key("node_id").Int(p.node_id)
+          .Key("acked_seq").Uint(p.acked_seq)
+          .Key("lag_records").Uint(p.lag_records)
+          .Key("lag_ms").Double(p.lag_ms)
+          .EndObject();
     }
   }
-  out += "]}";
-  return out;
+  out.EndArray().EndObject();
 }
 
 std::string ReplicationNode::BuildCatchUpPayload() {

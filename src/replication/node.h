@@ -122,8 +122,9 @@ class ReplicationNode {
   /// Replication status document served as the kStats "replication"
   /// value: role, term, log positions, leader-contact age, and (as
   /// leader) per-follower acked seq + lag in records and milliseconds.
-  /// Safe from any thread; never blocks on the write path's ack wait.
-  std::string ReplicationStatusJson() const;
+  /// Written as one JSON value into `out`. Safe from any thread; never
+  /// blocks on the write path's ack wait.
+  void ReplicationStatusJson(JsonWriter& out) const;
 
  private:
   /// Server options for Start/Restart: the configured template plus the

@@ -239,9 +239,4 @@ void Replica::ResetContact() {
   last_contact_ = std::chrono::steady_clock::now();
 }
 
-void Replica::ForceCatchUp() {
-  std::lock_guard<std::mutex> lock(mu_);
-  need_catchup_ = true;
-}
-
 }  // namespace hdmap

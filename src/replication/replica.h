@@ -85,12 +85,6 @@ class Replica : public ReplicationHandler {
   /// must not count against the current leader).
   void ResetContact();
 
-  /// Marks this replica's state as possibly diverged (a deposed leader
-  /// may hold patches that never replicated): every batch is answered
-  /// with kReplAckNeedCatchUp until a snapshot installs, which rebases
-  /// the node wholesale. Nothing is applied in between.
-  void ForceCatchUp();
-
   /// Failover fencing: forwards the shared term to `term` under the
   /// replica lock, so once this returns no batch from an older term can
   /// be applied or acked. The controller fences every reachable node

@@ -61,11 +61,6 @@ bool WalShipper::HasFollower(int node_id) const {
   return false;
 }
 
-size_t WalShipper::num_followers() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return sessions_.size();
-}
-
 void WalShipper::RequestStop() {
   stopping_.store(true);
   std::lock_guard<std::mutex> lock(mu_);
@@ -89,15 +84,6 @@ void WalShipper::NotifyAppend() {
   wake_cv_.notify_all();
 }
 
-size_t WalShipper::CountAckedAtLeast(uint64_t seq) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  size_t n = 0;
-  for (const auto& session : sessions_) {
-    if (session->acked_seq.load(std::memory_order_acquire) >= seq) ++n;
-  }
-  return n;
-}
-
 bool WalShipper::WaitForAcks(uint64_t seq, size_t min_count,
                              uint32_t timeout_ms) const {
   if (min_count == 0) return true;
@@ -112,16 +98,6 @@ bool WalShipper::WaitForAcks(uint64_t seq, size_t min_count,
         return n >= min_count;
       }) &&
          !stopping_.load();
-}
-
-uint64_t WalShipper::AckedSeq(int node_id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& session : sessions_) {
-    if (session->info.node_id == node_id) {
-      return session->acked_seq.load(std::memory_order_acquire);
-    }
-  }
-  return 0;
 }
 
 std::vector<WalShipper::FollowerProgress> WalShipper::Progress() const {

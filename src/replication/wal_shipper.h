@@ -96,7 +96,6 @@ class WalShipper {
   /// Starts a session for the follower (idempotent per node_id).
   void AddFollower(const FollowerInfo& follower);
   bool HasFollower(int node_id) const;
-  size_t num_followers() const;
 
   /// Asks every session to exit at its next wakeup. Safe from any thread,
   /// including a session's own (the stale-term path).
@@ -107,12 +106,8 @@ class WalShipper {
   /// Wakes idle sessions (new log records to ship).
   void NotifyAppend();
 
-  /// Followers whose applied (acked) seq has reached `seq`.
-  size_t CountAckedAtLeast(uint64_t seq) const;
   /// Blocks until >= min_count followers acked `seq`, or the timeout.
   bool WaitForAcks(uint64_t seq, size_t min_count, uint32_t timeout_ms) const;
-  /// Highest acked seq for a follower; 0 when unknown.
-  uint64_t AckedSeq(int node_id) const;
 
   /// One follower's shipping position, for introspection (the kStats
   /// replication document and ClusterInspector lag views).

@@ -515,18 +515,12 @@ Status MapService::CheckpointLocked(const MapSnapshot& snap) {
   return Status::Ok();
 }
 
-Status MapService::Recover() {
-  std::lock_guard<std::mutex> publish_lock(publish_mu_);
-  TraceSpan span("map_service.recover", TraceSpan::kRoot);
-  return RecoverLocked();
-}
-
 Status MapService::RecoverLocked() {
   if (!durable()) {
     return Status::FailedPrecondition(
         "MapService durability is disabled (empty data_dir)");
   }
-  // Child span: nests under Init's or Recover's root, so a cold recovery
+  // Child span: nests under Init's root, so a cold recovery
   // renders as one flame graph (checkpoint load, WAL replay, rebuild).
   TraceSpan span("storage.recover");
   ScopedTimer timer(lat_recover_);
@@ -716,7 +710,7 @@ Result<std::vector<std::string>> MapService::PatchesSince(
   if (from_version == current) return std::vector<std::string>{};
   std::lock_guard<std::mutex> lock(history_mu_);
   // The chain must cover every version in (from_version, current]
-  // contiguously; Init/Recover clear it, publishes append, so any gap
+  // contiguously; Init clears it, publishes append, so any gap
   // means "history does not reach back that far".
   std::vector<std::string> out;
   uint64_t next_needed = from_version + 1;

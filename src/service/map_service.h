@@ -182,7 +182,7 @@ class MapService {
   /// and keeps the version sequence monotonic.
   ///
   /// With durability enabled and existing state under data_dir, Init
-  /// recovers from disk instead (see Recover) and `initial_map` is
+  /// recovers from disk instead (see RecoverLocked) and `initial_map` is
   /// ignored: the durable map outranks the bootstrap map after a restart.
   /// A fresh data_dir is bootstrapped by checkpointing `initial_map` as
   /// version 1 before Init returns. If durable state exists but no
@@ -192,19 +192,6 @@ class MapService {
   /// each counted as a kDataLoss event and the log is set aside as
   /// `patches.wal.lost` for offline salvage instead of being erased.
   Status Init(HdMap initial_map);
-
-  /// Restores serving state from Options::durability.data_dir: loads the
-  /// newest checkpoint that validates end-to-end (torn or corrupt newer
-  /// ones are skipped, counted in "storage.checkpoints_invalid" and the
-  /// kDataLoss error counter), replays every intact WAL record past it
-  /// (torn/corrupt tail records are skipped and counted in
-  /// "wal.replay_skipped"), and resumes serving at the recovered version.
-  /// When anything was skipped, Health() reports kDegraded until the next
-  /// successful Publish. When WAL records were replayed, the recovered
-  /// state is immediately re-checkpointed so the next crash is covered.
-  /// kNotFound when no valid checkpoint exists; kFailedPrecondition when
-  /// durability is disabled.
-  Status Recover();
 
   /// True when Options::durability.data_dir is set.
   bool durable() const { return snapshot_store_ != nullptr; }
@@ -321,7 +308,7 @@ class MapService {
   /// current version — the delta a client holding `from_version` applies
   /// instead of refetching whole regions. Empty when `from_version` is
   /// already current. kNotFound when the retained history
-  /// (Options::publish_history publishes; cleared by Init/Recover, whose
+  /// (Options::publish_history publishes; cleared by Init, whose
   /// rebuilds break the delta chain) no longer reaches back that far, or
   /// when `from_version` is ahead of the server — callers fall back to a
   /// full fetch. kFailedPrecondition before Init. On success
@@ -363,7 +350,18 @@ class MapService {
   /// longer count as degradation.
   void Install(std::shared_ptr<const MapSnapshot> snap);
 
-  /// Recover() body; caller holds publish_mu_.
+  /// Init's recovery step; caller holds publish_mu_. Restores serving
+  /// state from Options::durability.data_dir: loads the newest checkpoint
+  /// that validates end-to-end (torn or corrupt newer ones are skipped,
+  /// counted in "storage.checkpoints_invalid" and the kDataLoss error
+  /// counter), replays every intact WAL record past it (torn/corrupt tail
+  /// records are skipped and counted in "wal.replay_skipped"), and
+  /// resumes serving at the recovered version. When anything was
+  /// skipped, Health() reports kDegraded until the next successful
+  /// Publish. When WAL records were replayed, the recovered state is
+  /// immediately re-checkpointed so the next crash is covered. kNotFound
+  /// when no valid checkpoint exists; kFailedPrecondition when
+  /// durability is disabled.
   Status RecoverLocked();
 
   /// Checkpoints `snap` and, on success, atomically rewrites the WAL
@@ -437,7 +435,7 @@ class MapService {
   };
   std::deque<PublishRecord> history_;
 
-  // Serializes Init/Publish/Recover (one writer at a time).
+  // Serializes Init/Publish (one writer at a time).
   std::mutex publish_mu_;
 
   // Durability layer; both null when Options::durability.data_dir is

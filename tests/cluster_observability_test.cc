@@ -20,12 +20,12 @@
 
 #include "common/event_log.h"
 #include "common/fault_injection.h"
+#include "common/json.h"
 #include "common/rng.h"
 #include "common/trace.h"
 #include "net/protocol.h"
 #include "net/tile_server.h"
 #include "obs/cluster_inspector.h"
-#include "obs/json.h"
 #include "replication/failover_controller.h"
 #include "replication/node.h"
 #include "service/map_service.h"
@@ -454,17 +454,26 @@ TEST(ClusterObservabilityTest, SplitBrainDetectedFromConflictingClaims) {
   ASSERT_TRUE(service_a.Init(StraightRoad(200.0)).ok());
   ASSERT_TRUE(service_b.Init(StraightRoad(200.0)).ok());
   auto claim = [](int node_id) {
-    return "{\"node_id\":" + std::to_string(node_id) +
-           ",\"role\":\"LEADER\",\"term\":5,\"applied_seq\":1,"
-           "\"last_publish_seq\":1,\"log_start_seq\":1,\"log_end_seq\":1,"
-           "\"ms_since_leader_contact\":0.0,\"followers\":[]}";
+    return [node_id](JsonWriter& out) {
+      out.BeginObject()
+          .Key("node_id").Int(node_id)
+          .Key("role").String("LEADER")
+          .Key("term").Uint(5)
+          .Key("applied_seq").Uint(1)
+          .Key("last_publish_seq").Uint(1)
+          .Key("log_start_seq").Uint(1)
+          .Key("log_end_seq").Uint(1)
+          .Key("ms_since_leader_contact").Double(0.0)
+          .Key("followers").BeginArray().EndArray()
+          .EndObject();
+    };
   };
   TileServer::Options oa;
   oa.stats_label = "node-0";
-  oa.replication_status_json = [&] { return claim(0); };
+  oa.replication_status_json = claim(0);
   TileServer::Options ob;
   ob.stats_label = "node-1";
-  ob.replication_status_json = [&] { return claim(1); };
+  ob.replication_status_json = claim(1);
   TileServer server_a(service_a, oa);
   TileServer server_b(service_b, ob);
   ASSERT_TRUE(server_a.Start().ok());
@@ -479,6 +488,59 @@ TEST(ClusterObservabilityTest, SplitBrainDetectedFromConflictingClaims) {
   ASSERT_EQ(view.split_brain_terms.size(), 1u);
   EXPECT_EQ(view.split_brain_terms[0], 5u);
   ASSERT_EQ(view.leaders_by_term.at(5).size(), 2u);
+}
+
+TEST(ClusterObservabilityTest, QuotedNodeLabelStaysReachable) {
+  // An operator-set label with a quote and a backslash must reach the
+  // inspector intact, not make the node's kStats document unparseable.
+  const std::string label = "node \"7\" \\ x";
+  MapService service(SmallTileOptions());
+  ASSERT_TRUE(service.Init(StraightRoad(200.0)).ok());
+  TileServer::Options options;
+  options.stats_label = label;
+  TileServer server(service, options);
+  ASSERT_TRUE(server.Start().ok());
+
+  ClusterInspector::Options io;
+  io.nodes = {{7, "127.0.0.1", server.port()}};
+  ClusterInspector inspector(io);
+  inspector.PollOnce();
+  ClusterInspector::ClusterView view = inspector.View();
+  ASSERT_EQ(view.nodes.size(), 1u);
+  EXPECT_TRUE(view.nodes[0].reachable);
+  EXPECT_EQ(view.reachable_nodes, 1u);
+  EXPECT_EQ(view.nodes[0].label, label);
+  EXPECT_EQ(view.nodes[0].health, "SERVING");
+}
+
+TEST(ClusterObservabilityTest, ReplicationStatusJsonParsesBack) {
+  ObsCluster cluster(3);
+  ReplicationNode* leader = cluster.WaitForLeader();
+  ASSERT_NE(leader, nullptr);
+  ASSERT_TRUE(cluster.WriteAcked(940001));
+  for (int i = 0; i < cluster.size(); ++i) {
+    std::string json;
+    JsonWriter writer(&json);
+    cluster.node(i)->ReplicationStatusJson(writer);
+    auto status = ParseJson(json);
+    ASSERT_TRUE(status.ok()) << status.status().message() << ": " << json;
+    EXPECT_EQ(status->GetI64("node_id", -1), i);
+    bool is_leader = cluster.node(i) == leader;
+    EXPECT_EQ(status->GetString("role"), is_leader ? "LEADER" : "FOLLOWER");
+    EXPECT_NE(status->Find("ms_since_leader_contact"), nullptr);
+    const JsonValue* followers = status->Find("followers");
+    ASSERT_TRUE(followers != nullptr && followers->is_array());
+    if (is_leader) {
+      EXPECT_EQ(status->GetU64("term"), leader->term());
+      EXPECT_GE(status->GetU64("log_end_seq"), 1u);
+      ASSERT_EQ(followers->array.size(), 2u);
+      for (const JsonValue& follower : followers->array) {
+        EXPECT_NE(follower.GetI64("node_id", i), i);
+        EXPECT_NE(follower.Find("lag_records"), nullptr);
+        EXPECT_NE(follower.Find("lag_ms"), nullptr);
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/json.h"
+
 namespace hdmap {
 namespace {
 
@@ -140,6 +142,26 @@ TEST(EventLogTest, AppendJsonEmitsWireShape) {
             "{\"seq\":3,\"unix_ms\":1754700000200,\"type\":\"SLOW_REQUEST\","
             "\"code\":\"OK\",\"trace_id\":\"18446744073709551615\","
             "\"detail\":\"took 1.2s \\\"budget\\\"\\n0.5s\"}");
+}
+
+TEST(EventLogTest, AppendJsonWithHostileDetailParsesBack) {
+  EventLog::Event event;
+  event.seq = 9;
+  event.unix_ms = 1754700000300;
+  event.type = EventLog::Type::kQuarantinedTile;
+  event.code = StatusCode::kDataLoss;
+  event.trace_id = 18446744073709551615ull;
+  event.detail = "tile \"(1,2)\" \\ bad\n\x01" "\xc3\xa9";
+  std::string out;
+  EventLog::AppendJson(event, &out);
+  auto parsed = ParseJson(out);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+  EXPECT_EQ(parsed->GetU64("seq"), 9u);
+  EXPECT_EQ(parsed->GetI64("unix_ms"), 1754700000300);
+  EXPECT_EQ(parsed->GetString("type"), "QUARANTINED_TILE");
+  EXPECT_EQ(parsed->GetString("code"), "DATA_LOSS");
+  EXPECT_EQ(parsed->GetString("trace_id"), "18446744073709551615");
+  EXPECT_EQ(parsed->GetString("detail"), event.detail);
 }
 
 }  // namespace

@@ -12,6 +12,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/json.h"
+
 namespace hdmap {
 namespace {
 
@@ -522,21 +524,65 @@ TEST(JsonRenderTest, SnapshotCarriesTypesAndUnits) {
   LatencyHistogram* lat = reg.GetLatency("c.lat");
   lat->Record(0.004);
   lat->Record(0.006);
-  std::string json = reg.RenderJson();
-  EXPECT_NE(json.find("\"counters\""), std::string::npos);
-  EXPECT_NE(json.find("\"gauges\""), std::string::npos);
-  EXPECT_NE(json.find("\"histograms\""), std::string::npos);
-  EXPECT_NE(json.find("{\"name\": \"a.count\", \"type\": \"counter\", "
-                      "\"unit\": \"1\", \"value\": 7}"),
-            std::string::npos);
-  EXPECT_NE(json.find("\"name\": \"c.lat\", \"type\": \"histogram\", "
-                      "\"unit\": \"seconds\", \"count\": 2"),
-            std::string::npos);
-  EXPECT_NE(json.find("\"p99\""), std::string::npos);
-  // Escaping: quotes/newlines in names cannot break the document.
-  reg.GetCounter("bad\"name\nx");
-  std::string json2 = reg.RenderJson();
-  EXPECT_NE(json2.find("bad\\\"name\\nx"), std::string::npos);
+  auto parsed = ParseJson(reg.RenderJson());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+  const JsonValue* counters = parsed->Find("counters");
+  const JsonValue* gauges = parsed->Find("gauges");
+  const JsonValue* histograms = parsed->Find("histograms");
+  ASSERT_TRUE(counters != nullptr && counters->is_array());
+  ASSERT_TRUE(gauges != nullptr && gauges->is_array());
+  ASSERT_TRUE(histograms != nullptr && histograms->is_array());
+
+  ASSERT_EQ(counters->array.size(), 1u);
+  const JsonValue& counter = counters->array[0];
+  EXPECT_EQ(counter.GetString("name"), "a.count");
+  EXPECT_EQ(counter.GetString("type"), "counter");
+  EXPECT_EQ(counter.GetString("unit"), "1");
+  EXPECT_EQ(counter.GetU64("value"), 7u);
+
+  ASSERT_EQ(gauges->array.size(), 1u);
+  const JsonValue& gauge = gauges->array[0];
+  EXPECT_EQ(gauge.GetString("name"), "b.gauge");
+  EXPECT_EQ(gauge.GetString("type"), "gauge");
+  EXPECT_EQ(gauge.GetString("unit"), "1");
+  EXPECT_EQ(gauge.GetNumber("value"), 1.5);
+
+  ASSERT_EQ(histograms->array.size(), 1u);
+  const JsonValue& hist = histograms->array[0];
+  EXPECT_EQ(hist.GetString("name"), "c.lat");
+  EXPECT_EQ(hist.GetString("type"), "histogram");
+  EXPECT_EQ(hist.GetString("unit"), "seconds");
+  EXPECT_EQ(hist.GetU64("count"), 2u);
+  EXPECT_NEAR(hist.GetNumber("sum"), 0.010, 1e-12);
+  EXPECT_NEAR(hist.GetNumber("mean"), 0.005, 1e-12);
+  EXPECT_EQ(hist.GetNumber("min"), 0.004);
+  EXPECT_EQ(hist.GetNumber("max"), 0.006);
+  for (const char* key : {"p50", "p90", "p99"}) {
+    EXPECT_GT(hist.GetNumber(key), 0.0) << key;
+  }
+
+  // Escaping: quotes, backslashes, newlines, control bytes and multi-byte
+  // UTF-8 in names cannot break the document.
+  const std::string hostile = "bad\"name\\x\n\x01" "\xc3\xa9";
+  reg.GetCounter(hostile);
+  auto reparsed = ParseJson(reg.RenderJson());
+  ASSERT_TRUE(reparsed.ok()) << reparsed.status().message();
+  bool hostile_seen = false;
+  for (const JsonValue& entry : reparsed->Find("counters")->array) {
+    hostile_seen |= entry.GetString("name") == hostile;
+  }
+  EXPECT_TRUE(hostile_seen);
+}
+
+TEST(JsonRenderTest, NanGaugeRendersAsNull) {
+  MetricsRegistry reg;
+  reg.GetGauge("not.a.number")->Set(std::nan(""));
+  auto parsed = ParseJson(reg.RenderJson());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+  // JSON has no NaN: the writer reports it as null.
+  const JsonValue* value = parsed->Find("gauges")->array.at(0).Find("value");
+  ASSERT_NE(value, nullptr);
+  EXPECT_TRUE(value->is_null());
 }
 
 TEST(MetricsRegistryTest, NamesReturnsSortedRawKeys) {

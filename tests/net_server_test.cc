@@ -14,7 +14,9 @@
 #include <thread>
 #include <vector>
 
+#include "common/event_log.h"
 #include "common/fault_injection.h"
+#include "common/json.h"
 #include "common/trace.h"
 #include "core/map_patch.h"
 #include "core/serialization.h"
@@ -39,7 +41,7 @@ ElementId FirstLandmarkId(const HdMap& map) {
 
 /// Arms a probability-1.0 kDelay policy at the server's compute site and
 /// wires it into `options`: every GetTile/GetRegion computation sleeps
-/// `delay_ms`, widening the coalescing/admission windows so tests can
+/// `delay_ms`, widening the admission window so tests can
 /// deterministically pile up concurrent requests. `faults` must outlive
 /// the server.
 TileServer::Options DelayedCompute(FaultInjector* faults, uint32_t delay_ms,
@@ -286,18 +288,18 @@ TEST(NetServerTest, GetRegionRoundtrips) {
   EXPECT_EQ(SerializeMap(*region), SerializeMap(*local));
 }
 
-TEST(NetServerTest, CoalescingCollapsesIdenticalConcurrentRegions) {
+TEST(NetServerTest, IdenticalConcurrentRegionsEachGetOwnReply) {
   FaultInjector faults(1);
   TileServer::Options options;
   options.worker_threads = 4;
-  Harness h(DelayedCompute(&faults, 150, options));
+  Harness h(DelayedCompute(&faults, 50, options));
   Aabb box = h.service.snapshot()->map.BoundingBox();
 
   uint64_t computations_before =
       h.server->metrics().GetCounter("net.computations")->value();
 
-  // Pipeline K identical unconditional fetches; the delay keeps the first
-  // computation in flight while the rest arrive and park as waiters.
+  // Pipeline K identical unconditional fetches; the delay keeps them in
+  // flight together on the worker pool.
   constexpr int kDuplicates = 4;
   for (int i = 0; i < kDuplicates; ++i) {
     NetRequest request;
@@ -314,20 +316,27 @@ TEST(NetServerTest, CoalescingCollapsesIdenticalConcurrentRegions) {
     responses.push_back(*response);
     ids.insert(response->request_id);
   }
-  // Every duplicate got its own response (correct request_id pairing)...
+  // Every duplicate got exactly one response (correct request_id
+  // pairing)...
   EXPECT_EQ(ids.size(), static_cast<size_t>(kDuplicates));
+  EXPECT_EQ(*ids.begin(), 100u);
+  EXPECT_EQ(*ids.rbegin(), 100u + kDuplicates - 1);
   // ...with byte-identical payloads...
   for (const NetResponse& response : responses) {
     EXPECT_EQ(response.code, NetResponseCode::kOk);
     EXPECT_EQ(response.payload, responses.front().payload);
   }
-  // ...from exactly one computation.
+  // ...each from its own computation.
   EXPECT_EQ(
       h.server->metrics().GetCounter("net.computations")->value() -
           computations_before,
-      1u);
-  EXPECT_EQ(h.server->metrics().GetCounter("net.coalesced")->value(),
-            static_cast<uint64_t>(kDuplicates - 1));
+      static_cast<uint64_t>(kDuplicates));
+  // Nothing else is owed: the Ping's empty reply is the next frame on
+  // the connection, not a second region reply.
+  auto ping = h.client.Ping();
+  ASSERT_TRUE(ping.ok());
+  EXPECT_EQ(ping->code, NetResponseCode::kOk);
+  EXPECT_TRUE(ping->payload.empty());
 }
 
 TEST(NetServerTest, BusyWhenGlobalQueueFull) {
@@ -337,9 +346,8 @@ TEST(NetServerTest, BusyWhenGlobalQueueFull) {
   options.max_pending_requests = 2;
   Harness h(DelayedCompute(&faults, 300, options));
 
-  // Distinct tiles (no coalescing): the IO thread admits two and must
-  // shed the rest with typed BUSY responses while the slow worker holds
-  // the queue.
+  // The IO thread admits two and must shed the rest with typed BUSY
+  // responses while the slow worker holds the queue.
   constexpr int kRequests = 6;
   for (int i = 0; i < kRequests; ++i) {
     NetRequest request;
@@ -670,6 +678,60 @@ TEST(NetServerTest, KStatsServesJsonDocument) {
   EXPECT_NE(doc.find("\"events\":["), std::string::npos);
   EXPECT_NE(doc.find("\"metrics\":{"), std::string::npos);
   EXPECT_NE(doc.find("net.requests"), std::string::npos);
+}
+
+TEST(NetServerTest, KStatsWithHostileStringsParsesBack) {
+  const std::string hostile = "node \"7\" \\ x\n\x01" "\xc3\xa9";
+  TileServer::Options options;
+  options.stats_label = hostile;
+  options.replication_status_json = [&](JsonWriter& out) {
+    out.BeginObject().Key("role").String(hostile).EndObject();
+  };
+  options.extra_events = [&](size_t) {
+    EventLog::Event event;
+    event.seq = 1;
+    event.unix_ms = 1;
+    event.type = EventLog::Type::kInjectedFault;
+    event.trace_id = 18446744073709551615ull;
+    event.detail = hostile;
+    return std::vector<EventLog::Event>{event};
+  };
+  Harness h(options);
+  ASSERT_TRUE(h.client.Ping().ok());
+  auto response = h.client.FetchStats();
+  ASSERT_TRUE(response.ok());
+  ASSERT_EQ(response->code, NetResponseCode::kOk);
+
+  auto doc = ParseJson(response->payload);
+  ASSERT_TRUE(doc.ok()) << doc.status().message();
+  const JsonValue* node = doc->Find("node");
+  ASSERT_NE(node, nullptr);
+  EXPECT_EQ(node->GetString("label"), hostile);
+  EXPECT_EQ(node->GetString("health"), "SERVING");
+  EXPECT_EQ(node->GetU64("version"), h.service.version());
+  ASSERT_NE(doc->Find("replication"), nullptr);
+  EXPECT_EQ(doc->Find("replication")->GetString("role"), hostile);
+  const JsonValue* events = doc->Find("events");
+  ASSERT_TRUE(events != nullptr && events->is_array());
+  bool hostile_event_seen = false;
+  for (const JsonValue& event : events->array) {
+    if (event.GetString("type") == "INJECTED_FAULT") {
+      EXPECT_EQ(event.GetString("detail"), hostile);
+      EXPECT_EQ(event.GetString("trace_id"), "18446744073709551615");
+      hostile_event_seen = true;
+    }
+  }
+  EXPECT_TRUE(hostile_event_seen);
+  const JsonValue* metrics = doc->Find("metrics");
+  ASSERT_TRUE(metrics != nullptr && metrics->is_object());
+  bool requests_seen = false;
+  for (const JsonValue& counter : metrics->Find("counters")->array) {
+    if (counter.GetString("name") == "net.requests") {
+      EXPECT_GE(counter.GetU64("value"), 1u);
+      requests_seen = true;
+    }
+  }
+  EXPECT_TRUE(requests_seen);
 }
 
 TEST(NetServerTest, KStatsServesPrometheusExposition) {

@@ -1,77 +1,18 @@
-// Unit tests for the observability-plane JSON parser and the pure parts
-// of ClusterInspector: kStats document parsing and Chrome-trace merging.
-#include "obs/json.h"
-
+// Unit tests for the pure parts of ClusterInspector: kStats document
+// parsing and Chrome-trace merging. The JSON parser and writer themselves
+// are tested in json_test.cc.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
 #include "common/event_log.h"
+#include "common/json.h"
+#include "common/trace.h"
 #include "obs/cluster_inspector.h"
 
 namespace hdmap {
 namespace {
-
-TEST(ObsJsonTest, ParsesScalars) {
-  auto parsed = ParseJson("  {\"a\":1.5,\"b\":\"x\",\"c\":true,\"d\":null,"
-                          "\"e\":false,\"f\":-7}  ");
-  ASSERT_TRUE(parsed.ok());
-  const JsonValue& doc = parsed.value();
-  ASSERT_TRUE(doc.is_object());
-  EXPECT_DOUBLE_EQ(doc.GetNumber("a"), 1.5);
-  EXPECT_EQ(doc.GetString("b"), "x");
-  ASSERT_NE(doc.Find("c"), nullptr);
-  EXPECT_TRUE(doc.Find("c")->bool_value);
-  EXPECT_TRUE(doc.Find("d")->is_null());
-  EXPECT_FALSE(doc.Find("e")->bool_value);
-  EXPECT_EQ(doc.GetI64("f"), -7);
-}
-
-TEST(ObsJsonTest, ParsesNestedArraysAndObjects) {
-  auto parsed = ParseJson("{\"rows\":[{\"id\":1},{\"id\":2},[3,4],[]]}");
-  ASSERT_TRUE(parsed.ok());
-  const JsonValue* rows = parsed->Find("rows");
-  ASSERT_NE(rows, nullptr);
-  ASSERT_EQ(rows->array.size(), 4u);
-  EXPECT_EQ(rows->array[0].GetI64("id"), 1);
-  EXPECT_EQ(rows->array[1].GetI64("id"), 2);
-  ASSERT_EQ(rows->array[2].array.size(), 2u);
-  EXPECT_DOUBLE_EQ(rows->array[2].array[1].number_value, 4.0);
-  EXPECT_TRUE(rows->array[3].array.empty());
-}
-
-TEST(ObsJsonTest, DecodesStringEscapes) {
-  auto parsed = ParseJson("{\"s\":\"a\\\"b\\\\c\\nd\\t\\u0041\\u0007\"}");
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed->GetString("s"), "a\"b\\c\nd\tA\x07");
-}
-
-TEST(ObsJsonTest, RejectsMalformedDocuments) {
-  EXPECT_FALSE(ParseJson("").ok());
-  EXPECT_FALSE(ParseJson("{").ok());
-  EXPECT_FALSE(ParseJson("{\"a\":}").ok());
-  EXPECT_FALSE(ParseJson("[1,]").ok());
-  EXPECT_FALSE(ParseJson("{\"a\":1} trailing").ok());
-  EXPECT_FALSE(ParseJson("\"unterminated").ok());
-  EXPECT_FALSE(ParseJson("nul").ok());
-  EXPECT_FALSE(ParseJson("{\"a\" 1}").ok());
-}
-
-TEST(ObsJsonTest, RejectsPathologicalNesting) {
-  std::string deep(256, '[');
-  deep += std::string(256, ']');
-  EXPECT_FALSE(ParseJson(deep).ok());
-}
-
-TEST(ObsJsonTest, TypedAccessorsFallBackOnShapeMismatch) {
-  auto parsed = ParseJson("{\"s\":\"text\",\"n\":3}");
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed->GetNumber("s", -1.0), -1.0);   // wrong kind
-  EXPECT_EQ(parsed->GetString("n", "dflt"), "dflt");
-  EXPECT_EQ(parsed->GetU64("missing", 9), 9u);     // absent key
-  EXPECT_EQ(parsed->array.size(), 0u);
-}
 
 TEST(ObsJsonTest, ParseNodeStatsReadsFullDocument) {
   // A hand-built kStats document in the exact wire shape BuildStatsPayload
@@ -167,6 +108,39 @@ TEST(ObsJsonTest, MergeChromeTraceJsonSkipsNonTraceInput) {
   auto parsed = ParseJson(merged);
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->Find("traceEvents")->array.size(), 1u);
+}
+
+TEST(ObsJsonTest, MergeChromeTraceJsonOfThreeLiveExportsParsesBack) {
+  // Real exports from three recorders whose process labels carry every
+  // byte class the writer escapes.
+  const std::string hostile = "n\"1\" \\ x\n\x01" "\xc3\xa9";
+  std::vector<std::string> exports;
+  for (uint32_t pid = 1; pid <= 3; ++pid) {
+    TraceRecorder::Options options;
+    options.enabled = true;
+    TraceRecorder recorder(options);
+    { TraceSpan span("net.request", TraceSpan::kRoot, &recorder); }
+    exports.push_back(
+        recorder.ExportChromeTraceJson(pid, hostile + std::to_string(pid)));
+  }
+  std::string merged = ClusterInspector::MergeChromeTraceJson(exports);
+  auto parsed = ParseJson(merged);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+  EXPECT_EQ(parsed->GetString("displayTimeUnit"), "ms");
+  const JsonValue* events = parsed->Find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  ASSERT_EQ(events->array.size(), 6u);  // Per export: metadata + 1 span.
+  for (uint32_t pid = 1; pid <= 3; ++pid) {
+    const JsonValue& meta = events->array[2 * (pid - 1)];
+    EXPECT_EQ(meta.GetString("name"), "process_name");
+    EXPECT_EQ(meta.GetU64("pid"), pid);
+    ASSERT_NE(meta.Find("args"), nullptr);
+    EXPECT_EQ(meta.Find("args")->GetString("name"),
+              hostile + std::to_string(pid));
+    const JsonValue& span = events->array[2 * (pid - 1) + 1];
+    EXPECT_EQ(span.GetString("name"), "net.request");
+    EXPECT_EQ(span.GetU64("pid"), pid);
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/json.h"
 #include "common/thread_pool.h"
 
 namespace hdmap {
@@ -277,17 +278,54 @@ TEST(TraceRecorderTest, ChromeTraceJsonShape) {
   }
   std::string json = recorder.ExportChromeTraceJson();
   EXPECT_EQ(json.find("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["), 0u);
-  EXPECT_NE(json.find("\"name\":\"map_service.get_region\""),
-            std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"tile_store.decode\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(json.find("\"status\":\"DATA_LOSS\""), std::string::npos);
-  // Braces balance (cheap well-formedness check; Perfetto is the real
-  // consumer).
-  EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
-            std::count(json.begin(), json.end(), '}'));
-  EXPECT_EQ(std::count(json.begin(), json.end(), '['),
-            std::count(json.begin(), json.end(), ']'));
+  auto parsed = ParseJson(json);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+  EXPECT_EQ(parsed->GetString("displayTimeUnit"), "ms");
+  const JsonValue* events = parsed->Find("traceEvents");
+  ASSERT_TRUE(events != nullptr && events->is_array());
+  // The process_name metadata record, then both spans oldest-first.
+  ASSERT_EQ(events->array.size(), 3u);
+  EXPECT_EQ(events->array[0].GetString("ph"), "M");
+  const JsonValue& root = events->array[1];
+  const JsonValue& child = events->array[2];
+  EXPECT_EQ(root.GetString("name"), "map_service.get_region");
+  EXPECT_EQ(child.GetString("name"), "tile_store.decode");
+  for (const JsonValue* span : {&root, &child}) {
+    EXPECT_EQ(span->GetString("ph"), "X");
+    EXPECT_EQ(span->GetString("cat"), "hdmap");
+    EXPECT_GE(span->GetNumber("dur", -1.0), 0.0);
+    ASSERT_NE(span->Find("args"), nullptr);
+  }
+  const JsonValue& child_args = *child.Find("args");
+  EXPECT_EQ(child_args.GetString("status"), "DATA_LOSS");
+  EXPECT_EQ(child_args.GetString("parent_span_id"),
+            root.Find("args")->GetString("span_id"));
+  EXPECT_EQ(child_args.GetString("trace_id"),
+            root.Find("args")->GetString("trace_id"));
+  ASSERT_NE(child_args.Find("sampled"), nullptr);
+  EXPECT_TRUE(child_args.Find("sampled")->bool_value);
+}
+
+TEST(TraceRecorderTest, HostileProcessLabelParsesBack) {
+  TraceRecorder recorder(EnabledOptions());
+  { TraceSpan span("net.request", TraceSpan::kRoot, &recorder); }
+  const std::string label = "node \"7\" \\ x\n\x01" "\xc3\xa9";
+  // A label longer than any fixed formatting buffer stays whole.
+  const std::string long_label = label + std::string(600, 'l');
+  for (const std::string& expected : {label, long_label}) {
+    auto parsed = ParseJson(recorder.ExportChromeTraceJson(9, expected));
+    ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+    const JsonValue& meta = parsed->Find("traceEvents")->array.at(0);
+    EXPECT_EQ(meta.GetU64("pid"), 9u);
+    EXPECT_EQ(meta.Find("args")->GetString("name"), expected);
+  }
+  // The no-argument overload parses too, under its default label.
+  auto legacy = ParseJson(recorder.ExportChromeTraceJson());
+  ASSERT_TRUE(legacy.ok()) << legacy.status().message();
+  const JsonValue& meta = legacy->Find("traceEvents")->array.at(0);
+  EXPECT_EQ(meta.GetU64("pid"), 1u);
+  EXPECT_EQ(meta.Find("args")->GetString("name"), "hdmap");
+  EXPECT_EQ(legacy->Find("traceEvents")->array.size(), 2u);
 }
 
 TEST(TraceRecorderTest, ConfigureResetsRing) {
