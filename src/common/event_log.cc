@@ -10,17 +10,6 @@ namespace hdmap {
 
 EventLog::EventLog(size_t capacity) : capacity_(std::max<size_t>(1, capacity)) {}
 
-void EventLog::set_capacity(size_t capacity) {
-  std::lock_guard<std::mutex> lock(mu_);
-  capacity_ = std::max<size_t>(1, capacity);
-  while (ring_.size() > capacity_) ring_.pop_front();
-}
-
-size_t EventLog::capacity() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return capacity_;
-}
-
 void EventLog::Append(Type type, uint64_t trace_id, std::string detail,
                       StatusCode code) {
   Event event;

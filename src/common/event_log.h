@@ -78,13 +78,8 @@ class EventLog {
     std::string detail;
   };
 
+  /// A ring of `capacity` events (minimum 1).
   explicit EventLog(size_t capacity = 256);
-
-  /// Clamp-resizes the ring (minimum 1), dropping oldest events if the
-  /// new capacity is smaller. Not for use concurrent with hot appends —
-  /// construction-time configuration.
-  void set_capacity(size_t capacity);
-  size_t capacity() const;
 
   /// Appends one event, stamping seq and wall-clock time. Thread-safe.
   void Append(Type type, uint64_t trace_id, std::string detail,
@@ -116,7 +111,7 @@ class EventLog {
 
  private:
   mutable std::mutex mu_;
-  size_t capacity_;
+  const size_t capacity_;
   uint64_t next_seq_ = 1;
   std::deque<Event> ring_;  // Oldest at front.
 };

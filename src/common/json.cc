@@ -1,15 +1,35 @@
 #include "common/json.h"
 
-#include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdlib>
+#include <system_error>
 
 namespace hdmap {
 
 namespace {
 
 constexpr int kMaxDepth = 48;
+
+bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+
+/// Appends code point `cp` (at most 0x10FFFF, not a surrogate) as UTF-8.
+void AppendUtf8(uint32_t cp, std::string* out) {
+  if (cp < 0x80) {
+    out->push_back(static_cast<char>(cp));
+  } else if (cp < 0x800) {
+    out->push_back(static_cast<char>(0xC0 | (cp >> 6)));
+    out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+  } else if (cp < 0x10000) {
+    out->push_back(static_cast<char>(0xE0 | (cp >> 12)));
+    out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
+    out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+  } else {
+    out->push_back(static_cast<char>(0xF0 | (cp >> 18)));
+    out->push_back(static_cast<char>(0x80 | ((cp >> 12) & 0x3F)));
+    out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
+    out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+  }
+}
 
 // Local analogue of HDMAP_RETURN_IF_ERROR for use inside Result-returning
 // helpers (the common macro returns Status, not Result).
@@ -94,23 +114,77 @@ class Parser {
     return Status::Ok();
   }
 
+  /// Consumes a run of decimal digits; returns how many.
+  size_t ConsumeDigits() {
+    size_t first = pos_;
+    while (pos_ < text_.size() && IsDigit(text_[pos_])) ++pos_;
+    return pos_ - first;
+  }
+
+  /// RFC 8259 numbers only: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
+  /// The grammar is checked here; std::from_chars (locale-independent,
+  /// like the writer's std::to_chars) converts the validated token.
   Status ParseNumber(JsonValue* out) {
-    size_t start = pos_;
-    if (Consume('-')) {
+    const size_t start = pos_;
+    Consume('-');
+    if (Consume('0')) {
+      if (pos_ < text_.size() && IsDigit(text_[pos_])) {
+        return Fail("leading zero in number");
+      }
+    } else if (ConsumeDigits() == 0) {
+      return Fail("invalid value");
     }
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
+    if (Consume('.') && ConsumeDigits() == 0) {
+      return Fail("expected digits after '.'");
     }
-    if (pos_ == start) return Fail("invalid value");
-    std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    double value = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) return Fail("invalid number");
+    if (Consume('e') || Consume('E')) {
+      if (!Consume('+')) Consume('-');
+      if (ConsumeDigits() == 0) return Fail("expected exponent digits");
+    }
+    const char* end = text_.data() + pos_;
+    double value = 0.0;
+    auto [ptr, ec] = std::from_chars(text_.data() + start, end, value);
+    if (ec != std::errc() || ptr != end) return Fail("number out of range");
     out->kind = JsonValue::Kind::kNumber;
     out->number_value = value;
+    return Status::Ok();
+  }
+
+  /// The four hex digits of a \u escape.
+  Status ParseHex4(uint32_t* code) {
+    if (pos_ + 4 > text_.size()) return Fail("truncated \\u escape");
+    *code = 0;
+    for (int i = 0; i < 4; ++i) {
+      char h = text_[pos_++];
+      *code <<= 4;
+      if (h >= '0' && h <= '9') {
+        *code |= static_cast<uint32_t>(h - '0');
+      } else if (h >= 'a' && h <= 'f') {
+        *code |= static_cast<uint32_t>(h - 'a' + 10);
+      } else if (h >= 'A' && h <= 'F') {
+        *code |= static_cast<uint32_t>(h - 'A' + 10);
+      } else {
+        return Fail("invalid \\u escape");
+      }
+    }
+    return Status::Ok();
+  }
+
+  /// A \u escape (the "\u" already consumed) decoded to UTF-8. A code
+  /// point above the BMP arrives as a surrogate pair; a lone surrogate
+  /// encodes no character and is rejected.
+  Status ParseUnicodeEscape(std::string* out) {
+    uint32_t code = 0;
+    HDMAP_RETURN_IF_ERROR_RESULT(ParseHex4(&code));
+    if (code >= 0xDC00 && code <= 0xDFFF) return Fail("lone low surrogate");
+    if (code >= 0xD800 && code <= 0xDBFF) {
+      uint32_t low = 0;
+      if (!Consume('\\') || !Consume('u')) return Fail("lone high surrogate");
+      HDMAP_RETURN_IF_ERROR_RESULT(ParseHex4(&low));
+      if (low < 0xDC00 || low > 0xDFFF) return Fail("lone high surrogate");
+      code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+    }
+    AppendUtf8(code, out);
     return Status::Ok();
   }
 
@@ -135,27 +209,9 @@ class Parser {
         case 'n': out->push_back('\n'); break;
         case 'r': out->push_back('\r'); break;
         case 't': out->push_back('\t'); break;
-        case 'u': {
-          // The kStats emitters escape control bytes as \u00XX; decode
-          // the BMP code point as a raw byte when it fits, else replace.
-          if (pos_ + 4 > text_.size()) return Fail("truncated \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') {
-              code |= static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              code |= static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              return Fail("invalid \\u escape");
-            }
-          }
-          out->push_back(code < 256 ? static_cast<char>(code) : '?');
+        case 'u':
+          HDMAP_RETURN_IF_ERROR_RESULT(ParseUnicodeEscape(out));
           break;
-        }
         default:
           return Fail("invalid escape");
       }

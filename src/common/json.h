@@ -44,8 +44,10 @@ class JsonValue {
 };
 
 /// Parses one JSON document (trailing whitespace allowed, trailing junk is
-/// an error). Depth-limited to keep hostile input from recursing the
-/// stack away.
+/// an error). Numbers follow RFC 8259's grammar and must fit a double;
+/// \u escapes decode to UTF-8, surrogate pairs included, and a lone
+/// surrogate is an error. Depth-limited to keep hostile input from
+/// recursing the stack away.
 Result<JsonValue> ParseJson(std::string_view text);
 
 /// Streaming writer appending one compact JSON document (no whitespace)

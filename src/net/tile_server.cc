@@ -24,6 +24,9 @@ namespace hdmap {
 
 namespace {
 
+/// Accepted connections beyond this are closed immediately.
+constexpr size_t kMaxConnections = 1024;
+
 std::string ErrnoMessage(const char* what) {
   return std::string(what) + ": " + std::strerror(errno);
 }
@@ -44,8 +47,7 @@ TileServer::TileServer(const MapService& service, Options options)
     : service_(service),
       options_(std::move(options)),
       metrics_(options_.metrics != nullptr ? options_.metrics
-                                           : &service.metrics()),
-      events_(options_.event_log_capacity) {
+                                           : &service.metrics()) {
   requests_ = metrics_->GetCounter("net.requests");
   busy_rejected_ = metrics_->GetCounter("net.busy_rejected");
   computations_ = metrics_->GetCounter("net.computations");
@@ -211,7 +213,7 @@ void TileServer::HandleAccept() {
       std::lock_guard<std::mutex> lock(connections_mu_);
       count = connections_.size();
     }
-    if (count >= options_.max_connections) {
+    if (count >= kMaxConnections) {
       // No framing has been established yet, so there is no way to send
       // a typed BUSY; an immediate close is the whole signal.
       ::close(fd);
@@ -434,26 +436,25 @@ void TileServer::ExecuteRequest(
     }
   }
   uint64_t version = snap->version;
-  auto [code, status, payload] = ComputeFull(request, &version);
+  auto [code, status, payload] = ComputeFull(request, *snap, &version);
   if (status != StatusCode::kOk) span.SetStatus(status);
   FinishRequest(conn, code, status, request.request_id, version, payload,
                 admitted);
 }
 
 std::tuple<NetResponseCode, StatusCode, std::string> TileServer::ComputeFull(
-    const NetRequest& request, uint64_t* version) {
+    const NetRequest& request, const MapSnapshot& snap, uint64_t* version) {
   computations_->Increment();
   if (options_.fault_injector != nullptr) {
     options_.fault_injector->MaybeDelay(kComputeFaultSite);
   }
-  auto snap = service_.snapshot();
-  *version = snap->version;
   if (request.type == NetRequestType::kGetTile) {
-    // Verbatim blob from the snapshot's tile store: zero re-encode, and
-    // the payload's embedded frame CRC travels with it. RawTileBytes
-    // pins the blob, so the bytes stay valid while the response frame
-    // is assembled even if a publish swaps the store underneath.
-    Result<PinnedBytes> bytes = snap->tiles.RawTileBytes(request.tile);
+    // Verbatim blob from the request's snapshot: zero re-encode, and the
+    // payload's embedded frame CRC travels with it. RawTileBytes pins the
+    // blob, so the bytes stay valid while the response frame is
+    // assembled even if a publish swaps the store underneath.
+    *version = snap.version;
+    Result<PinnedBytes> bytes = snap.tiles.RawTileBytes(request.tile);
     if (!bytes.ok()) {
       return {NetResponseCode::kError, StatusCode::kNotFound,
               "tile (" + std::to_string(request.tile.x) + ", " +
@@ -465,8 +466,11 @@ std::tuple<NetResponseCode, StatusCode, std::string> TileServer::ComputeFull(
   // Region: stitch (through the service, so degraded-mode policy and
   // map_service.* accounting apply; its endpoint span nests under
   // net.request) and encode once as a framed v3 tile, so the client
-  // views or decodes and integrity-checks it like a tile blob.
-  Result<HdMap> region = service_.GetRegion(request.box);
+  // views or decodes and integrity-checks it like a tile blob. The reply
+  // carries the version the stitched bytes came from, which a publish
+  // since `snap` was loaded may have moved past snap.version.
+  Result<HdMap> region =
+      service_.GetRegion(request.box, /*report=*/nullptr, version);
   if (!region.ok()) {
     return {NetResponseCode::kError, region.status().code(),
             region.status().message()};

@@ -81,8 +81,6 @@ class TileServer {
     uint16_t port = 0;
     /// Worker threads computing responses; 0 = hardware concurrency.
     size_t worker_threads = 0;
-    /// Accepted connections beyond this are closed immediately.
-    size_t max_connections = 1024;
     /// Global cap on admitted-but-unfinished requests; beyond it new
     /// requests are shed with kBusy.
     size_t max_pending_requests = 256;
@@ -92,7 +90,6 @@ class TileServer {
     /// Requests slower than this (admission to response write, seconds)
     /// log a kSlowRequest event; <= 0 disables.
     double slow_request_threshold_s = 0.25;
-    size_t event_log_capacity = 256;
     /// Registry for "net.*" instruments; null uses the service registry.
     MetricsRegistry* metrics = nullptr;
     /// Fault seams at site "net.recv" (request-body corruption after
@@ -197,10 +194,12 @@ class TileServer {
   /// Worker-side request execution (everything after admission).
   void ExecuteRequest(std::shared_ptr<Connection> conn, NetRequest request,
                       std::chrono::steady_clock::time_point admitted);
-  /// Computes the full-fetch payload for a GetTile/GetRegion request.
-  /// Returns (code, status, payload).
+  /// Computes the full-fetch payload for a GetTile/GetRegion request
+  /// against `snap`, the snapshot the request loaded, and sets *version
+  /// to the version the payload's bytes came from. Returns (code,
+  /// status, payload).
   std::tuple<NetResponseCode, StatusCode, std::string> ComputeFull(
-      const NetRequest& request, uint64_t* version);
+      const NetRequest& request, const MapSnapshot& snap, uint64_t* version);
 
   /// Assembles the kStats response payload (Prometheus text or the
   /// node-status JSON document, per the request's format).

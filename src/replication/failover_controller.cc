@@ -7,7 +7,7 @@
 namespace hdmap {
 
 FailoverController::FailoverController(Options options)
-    : opts_(options), events_(opts_.event_log_capacity) {
+    : opts_(options) {
   if (opts_.metrics != nullptr) {
     failovers_ = opts_.metrics->GetCounter("repl.failovers");
     degraded_window_ms_ =

@@ -51,7 +51,6 @@ class FailoverController {
     uint32_t leader_timeout_ms = 150;
     /// Registry for the "repl.failover.*" instruments; may be null.
     MetricsRegistry* metrics = nullptr;
-    size_t event_log_capacity = 256;
   };
 
   explicit FailoverController(Options options);

@@ -108,7 +108,6 @@ MapService::MapService(Options options) : options_(std::move(options)) {
   lat_recover_ = metrics_->GetLatency("storage.recover");
   published_unix_ms_gauge_ =
       metrics_->GetGauge("map_service.published_unix_ms");
-  events_.set_capacity(options_.event_log_capacity);
 
   metrics_->SetHelp("map_service.requests",
                     "Reader requests received across all endpoints");
@@ -150,8 +149,8 @@ Status MapService::Init(HdMap initial_map) {
       snap->tiles.Build(initial_map, options_.publish_threads));
   snap->map = std::move(initial_map);
   snap->map.BuildIndexes();
-  snap->routing = std::make_shared<const RoutingGraph>(
-      RoutingGraph::Build(snap->map, options_.lane_change_penalty_s));
+  snap->routing =
+      std::make_shared<const RoutingGraph>(RoutingGraph::Build(snap->map));
   auto old = snapshot();
   snap->version = old == nullptr ? 1 : old->version + 1;
   snap->publish_time = std::chrono::steady_clock::now();
@@ -239,8 +238,8 @@ Status MapService::InstallReplicatedSnapshot(
   }
   snap->map = *std::move(stitched);
   snap->map.BuildIndexes();
-  snap->routing = std::make_shared<const RoutingGraph>(
-      RoutingGraph::Build(snap->map, options_.lane_change_penalty_s));
+  snap->routing =
+      std::make_shared<const RoutingGraph>(RoutingGraph::Build(snap->map));
   snap->version = version;
   snap->published_unix_ms = published_unix_ms;
   snap->publish_time = BackdatedPublishTime(published_unix_ms);
@@ -432,10 +431,10 @@ Status MapService::Publish() {
   snap->map.BuildIndexes();
   // Landmark/marking-level patches don't alter lane topology or rules, so
   // the routing graph is shared with the previous version.
-  snap->routing = relational_changed
-                      ? std::make_shared<const RoutingGraph>(RoutingGraph::Build(
-                            snap->map, options_.lane_change_penalty_s))
-                      : old->routing;
+  snap->routing =
+      relational_changed
+          ? std::make_shared<const RoutingGraph>(RoutingGraph::Build(snap->map))
+          : old->routing;
   snap->version = old->version + 1;
   snap->publish_time = std::chrono::steady_clock::now();
   snap->published_unix_ms = WallClockUnixMs();
@@ -585,8 +584,8 @@ Status MapService::RecoverLocked() {
   snap->publish_time = BackdatedPublishTime(snap->published_unix_ms);
   snap->map = std::move(map);
   snap->map.BuildIndexes();
-  snap->routing = std::make_shared<const RoutingGraph>(
-      RoutingGraph::Build(snap->map, options_.lane_change_penalty_s));
+  snap->routing =
+      std::make_shared<const RoutingGraph>(RoutingGraph::Build(snap->map));
   Install(snap);
   {
     // The recovered version was rebuilt from disk; clients holding
@@ -751,8 +750,8 @@ double MapService::SnapshotAgeSeconds() const {
   return age;
 }
 
-Result<HdMap> MapService::GetRegion(const Aabb& box,
-                                    RegionReport* report) const {
+Result<HdMap> MapService::GetRegion(const Aabb& box, RegionReport* report,
+                                    uint64_t* served_version) const {
   requests_->Increment();
   TraceSpan span("map_service.get_region", TraceSpan::kRoot);
   auto start = std::chrono::steady_clock::now();
@@ -764,6 +763,7 @@ Result<HdMap> MapService::GetRegion(const Aabb& box,
                   StatusCode::kFailedPrecondition);
     return Status::FailedPrecondition("MapService::Init has not run");
   }
+  if (served_version != nullptr) *served_version = snap->version;
   // Degradation is observed through the report even when the caller
   // didn't ask for one.
   RegionReport local_report;

@@ -115,8 +115,6 @@ class MapService {
     /// Tiling of the published snapshots. When `tile_store.metrics` is
     /// null it is wired to the service registry automatically.
     TileStore::Options tile_store;
-    /// Seconds added per lane-change edge in the routing graph.
-    double lane_change_penalty_s = 2.0;
     /// Threads for publish-side tile (re)serialization; 0 = hardware
     /// concurrency.
     size_t publish_threads = 0;
@@ -139,8 +137,6 @@ class MapService {
     /// Reader requests slower than this (seconds) land in the event log
     /// as kSlowRequest records; <= 0 disables slow-request events.
     double slow_request_threshold_s = 0.25;
-    /// Capacity of the structured event ring served by RecentEvents().
-    size_t event_log_capacity = 256;
     /// How many recent publishes keep their applied patches (serialized)
     /// for PatchesSince — the delta chain a network edge serves to
     /// clients asking "I have version V, send what changed". 0 disables
@@ -278,9 +274,12 @@ class MapService {
   /// snapshot (see TileStore::LoadRegion). By default a tile that fails
   /// checksum/decode is skipped and reported (via `report` and the
   /// "map_service.regions_degraded" counter) instead of failing the
-  /// request; Options::strict_reads opts out.
-  Result<HdMap> GetRegion(const Aabb& box,
-                          RegionReport* report = nullptr) const;
+  /// request; Options::strict_reads opts out. `served_version` (when
+  /// non-null) receives the version of the snapshot the region was read
+  /// from — the version a publish-racing caller must label the region
+  /// with, which may trail version() by the time this returns.
+  Result<HdMap> GetRegion(const Aabb& box, RegionReport* report = nullptr,
+                          uint64_t* served_version = nullptr) const;
 
   /// One tile of the current snapshot (see TileStore::LoadTile).
   Result<HdMap> GetTile(const TileId& id) const;

@@ -299,53 +299,6 @@ Result<RecoveredSnapshot> SnapshotStore::LoadCheckpoint(
   return out;
 }
 
-Result<MappedCheckpoint> SnapshotStore::OpenMapped(uint64_t version) const {
-  TraceSpan span("storage.checkpoint_open_mapped");
-  const std::string dir = CheckpointDir(version);
-  HDMAP_ASSIGN_OR_RETURN(std::string framed,
-                         ReadFileRaw(dir + "/" + kManifestFile));
-  HDMAP_ASSIGN_OR_RETURN(Manifest manifest, ParseManifest(framed));
-  if (manifest.version != version) {
-    return Status::DataLoss("manifest in " + dir + " claims version " +
-                            std::to_string(manifest.version));
-  }
-  MappedCheckpoint out;
-  out.version = manifest.version;
-  out.published_unix_ms = manifest.published_unix_ms;
-  out.tile_size_m = manifest.tile_size_m;
-  for (const ManifestEntry& e : manifest.entries) {
-    HDMAP_ASSIGN_OR_RETURN(std::shared_ptr<MmapFile> file,
-                           MmapFile::Open(dir + "/" + TileFileName(e.morton)));
-    if (file->size() != e.size) {
-      return Status::DataLoss(
-          "tile " + TileFileName(e.morton) + " in " + dir + " is " +
-          std::to_string(file->size()) + " bytes, manifest says " +
-          std::to_string(e.size));
-    }
-    // The once-per-generation CRC check. Views over this tile use
-    // FrameChecksum::kTrust from here on: the mapping is private and the
-    // file only ever replaced wholesale, so the verified bytes cannot
-    // change underneath the views.
-    HDMAP_RETURN_IF_ERROR(UnwrapFrame(file->view()).status());
-    out.tiles.emplace(
-        e.morton, PinnedBytes::FromOwner(file, file->data(), file->size()));
-    out.tile_ids.emplace(e.morton, e.id);
-  }
-  return out;
-}
-
-Result<PinnedTileView> MappedCheckpoint::View(uint64_t morton) const {
-  auto it = tiles.find(morton);
-  if (it == tiles.end()) {
-    return Status::NotFound("tile key " + std::to_string(morton) +
-                            " not in checkpoint v" + std::to_string(version));
-  }
-  HDMAP_ASSIGN_OR_RETURN(
-      TileView view,
-      TileView::Create(it->second.span(), FrameChecksum::kTrust));
-  return PinnedTileView{it->second, view};
-}
-
 Result<RecoveredSnapshot> SnapshotStore::LoadNewestValid(
     const TileStore::Options& tile_options,
     size_t* checkpoints_skipped) const {

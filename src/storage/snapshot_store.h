@@ -2,7 +2,6 @@
 #define HDMAP_STORAGE_SNAPSHOT_STORE_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -11,18 +10,17 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "core/hd_map.h"
-#include "core/pinned_bytes.h"
 #include "core/tile_store.h"
-#include "core/tile_view.h"
 #include "storage/fs_util.h"
 
 namespace hdmap {
 
 /// One checkpoint loaded back from disk and fully validated: every tile
 /// decoded through its wire frame and stitched into a query-able map.
-/// The TileStore's blobs are mmap-backed (zero-copy recovery): the pages
-/// stay valid even if the checkpoint directory is retention-deleted
-/// later (see MmapFile).
+/// The TileStore's blobs are mmap-backed (zero-copy recovery), so
+/// TileStore::GetTileView serves in-place views of the mapped pages,
+/// checking each tile's CRC once. The pages stay valid even if the
+/// checkpoint directory is retention-deleted later (see MmapFile).
 struct RecoveredSnapshot {
   uint64_t version = 0;
   /// Wall-clock publish stamp persisted in the manifest (survives
@@ -30,28 +28,6 @@ struct RecoveredSnapshot {
   int64_t published_unix_ms = 0;
   TileStore tiles;
   HdMap map;  ///< Stitched from `tiles`; indexes not yet built.
-};
-
-/// One checkpoint generation opened for zero-copy reads: every tile's
-/// wire frame is mmap'd and CRC-verified exactly once, at open; View()
-/// then serves in-place accessors with no further hashing, decoding, or
-/// copying (FrameChecksum::kTrust). Tiles pin their mappings, so a
-/// MappedCheckpoint — and any PinnedBytes or view taken from it — stays
-/// valid after the store swaps snapshots or retention deletes the
-/// checkpoint directory from disk. That is the generation-pinning
-/// contract: readers never synchronize with the writer.
-struct MappedCheckpoint {
-  uint64_t version = 0;
-  int64_t published_unix_ms = 0;
-  double tile_size_m = 0.0;
-  /// Morton key -> framed tile bytes, backed by the mmap'd files.
-  std::map<uint64_t, PinnedBytes> tiles;
-  /// Morton key -> tile coordinates (from the manifest).
-  std::map<uint64_t, TileId> tile_ids;
-
-  /// Zero-copy view of one tile. kNotFound for unknown keys, kDataLoss
-  /// for a tile whose (CRC-valid) bytes are not a v3 tile.
-  Result<PinnedTileView> View(uint64_t morton) const;
 };
 
 /// Persists published map versions as checkpoint directories:
@@ -128,12 +104,6 @@ class SnapshotStore {
   Result<RecoveredSnapshot> LoadNewestValid(
       const TileStore::Options& tile_options,
       size_t* checkpoints_skipped) const;
-
-  /// Opens one checkpoint generation for zero-copy serving: mmaps every
-  /// tile file and verifies its frame CRC (and recorded length) once,
-  /// here. kDataLoss on any mismatch — an OpenMapped success carries the
-  /// same integrity guarantee as LoadCheckpoint, minus the full decode.
-  Result<MappedCheckpoint> OpenMapped(uint64_t version) const;
 
   std::string CheckpointDir(uint64_t version) const;
 

@@ -61,20 +61,6 @@ TEST(EventLogTest, RecentHonorsMaxN) {
   EXPECT_TRUE(log.Recent(0).empty());
 }
 
-TEST(EventLogTest, SetCapacityClampsAndTrims) {
-  EventLog log(8);
-  for (int i = 0; i < 8; ++i) {
-    log.Append(EventLog::Type::kCheckpointFallback, 0, std::to_string(i));
-  }
-  log.set_capacity(2);
-  EXPECT_EQ(log.capacity(), 2u);
-  EXPECT_EQ(log.size(), 2u);
-  EXPECT_EQ(log.Recent()[0].detail, "7");
-  log.set_capacity(0);  // Clamped to 1.
-  EXPECT_EQ(log.capacity(), 1u);
-  EXPECT_EQ(log.size(), 1u);
-}
-
 TEST(EventLogTest, ConcurrentAppendsKeepSequenceDense) {
   EventLog log(100000);
   constexpr int kThreads = 8;

@@ -47,6 +47,43 @@ TEST(ObsJsonTest, DecodesStringEscapes) {
   EXPECT_EQ(parsed->GetString("s"), "a\"b\\c\nd\tA\x07");
 }
 
+TEST(ObsJsonTest, DecodesUnicodeEscapesToUtf8) {
+  auto decode = [](const std::string& literal) {
+    auto parsed = ParseJson("\"" + literal + "\"");
+    EXPECT_TRUE(parsed.ok()) << literal;
+    return parsed.ok() ? parsed->string_value : std::string();
+  };
+  EXPECT_EQ(decode("\\u00e9"), "\xC3\xA9");
+  EXPECT_EQ(decode("\\u20ac"), "\xE2\x82\xAC");
+  EXPECT_EQ(decode("\\ud83d\\ude00"), "\xF0\x9F\x98\x80");
+  EXPECT_EQ(decode("a\\u00E9b"), "a\xC3\xA9" "b");
+}
+
+TEST(ObsJsonTest, RejectsLoneSurrogates) {
+  EXPECT_FALSE(ParseJson("\"\\ud83d\"").ok());
+  EXPECT_FALSE(ParseJson("\"\\ud83dx\"").ok());
+  EXPECT_FALSE(ParseJson("\"\\ud83d\\u0041\"").ok());
+  EXPECT_FALSE(ParseJson("\"\\ude00\"").ok());
+}
+
+TEST(ObsJsonTest, NumbersFollowTheJsonGrammar) {
+  for (const char* bad : {"+1", "1.", "01", ".5", "-", "1e", "1e+", "-01",
+                          "[+1]", "[1.]", "[01]", "{\"a\":.5}"}) {
+    EXPECT_FALSE(ParseJson(bad).ok()) << bad;
+  }
+  auto number = [](const char* text) {
+    auto parsed = ParseJson(text);
+    EXPECT_TRUE(parsed.ok()) << text;
+    return parsed.ok() ? parsed->number_value : -1.0;
+  };
+  EXPECT_EQ(number("-0"), 0.0);
+  EXPECT_TRUE(std::signbit(number("-0")));
+  EXPECT_DOUBLE_EQ(number("1e-3"), 0.001);
+  EXPECT_DOUBLE_EQ(number("1E+2"), 100.0);
+  EXPECT_DOUBLE_EQ(number("0.25"), 0.25);
+  EXPECT_DOUBLE_EQ(number("-12.5e1"), -125.0);
+}
+
 TEST(ObsJsonTest, RejectsMalformedDocuments) {
   EXPECT_FALSE(ParseJson("").ok());
   EXPECT_FALSE(ParseJson("{").ok());

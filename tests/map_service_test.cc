@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <filesystem>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/trace.h"
@@ -135,6 +137,70 @@ TEST(MapServiceTest, HeldSnapshotIsIsolatedFromPublish) {
   auto new_region = service.GetRegion(after->map.BoundingBox());
   ASSERT_TRUE(new_region.ok());
   EXPECT_EQ(new_region->FindLandmark(sign)->position, new_pos);
+}
+
+TEST(MapServiceTest, ConcurrentReadersSeeWholeVersionsAcrossPublishes) {
+  // Readers loop GetRegion over tiles that every publish rewrites. Each
+  // region must hold all markers at one z (never stitched from two
+  // versions), that z must be the version GetRegion reports, and it
+  // must never fall below the reader's previous reply (no rollback).
+  MapService service(SmallTileOptions());
+  ASSERT_TRUE(service.Init(VersionMarkerRoad()).ok());
+
+  constexpr int kReaders = 3;
+  constexpr uint64_t kPublishes = 100;
+  std::atomic<bool> stop{false};
+  std::atomic<int> readers_started{0};
+  std::atomic<uint64_t> reads{0}, torn{0}, mislabeled{0}, rollbacks{0},
+      errors{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&] {
+      uint64_t last = 0;
+      bool first = true;
+      while (!stop.load(std::memory_order_relaxed)) {
+        uint64_t served = 0;
+        Result<HdMap> region =
+            service.GetRegion(kVersionMarkerBox, nullptr, &served);
+        if (first) {
+          readers_started.fetch_add(1);
+          first = false;
+        }
+        reads.fetch_add(1, std::memory_order_relaxed);
+        if (!region.ok()) {
+          errors.fetch_add(1, std::memory_order_relaxed);
+          continue;
+        }
+        uint64_t version = MarkerVersion(*region);
+        if (version == 0) torn.fetch_add(1, std::memory_order_relaxed);
+        if (version != served) {
+          mislabeled.fetch_add(1, std::memory_order_relaxed);
+        }
+        if (served < last) rollbacks.fetch_add(1, std::memory_order_relaxed);
+        last = served;
+      }
+    });
+  }
+  // Publish only once every reader is inside its loop, and stop on the
+  // publish count, not on wall time.
+  while (readers_started.load() < kReaders) std::this_thread::yield();
+  for (uint64_t v = 2; v <= kPublishes + 1; ++v) {
+    Status published = service.ApplyPatch(VersionMarkerPatch(v));
+    EXPECT_TRUE(published.ok()) << published.ToString();
+    if (!published.ok()) break;
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (std::thread& t : readers) t.join();
+
+  EXPECT_EQ(service.version(), kPublishes + 1);
+  EXPECT_GE(reads.load(), static_cast<uint64_t>(kReaders));
+  EXPECT_EQ(torn.load(), 0u);
+  EXPECT_EQ(mislabeled.load(), 0u);
+  EXPECT_EQ(rollbacks.load(), 0u);
+  EXPECT_EQ(errors.load(), 0u);
+  auto final_region = service.GetRegion(kVersionMarkerBox);
+  ASSERT_TRUE(final_region.ok());
+  EXPECT_EQ(MarkerVersion(*final_region), kPublishes + 1);
 }
 
 TEST(MapServiceTest, CowTilesMatchFullRebuild) {

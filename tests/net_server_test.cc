@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <memory>
@@ -347,7 +348,8 @@ TEST(NetServerTest, BusyWhenGlobalQueueFull) {
   Harness h(DelayedCompute(&faults, 300, options));
 
   // The IO thread admits two and must shed the rest with typed BUSY
-  // responses while the slow worker holds the queue.
+  // responses while the slow worker holds the queue: three times the
+  // queue's capacity arrives at once.
   constexpr int kRequests = 6;
   for (int i = 0; i < kRequests; ++i) {
     NetRequest request;
@@ -356,17 +358,41 @@ TEST(NetServerTest, BusyWhenGlobalQueueFull) {
     request.tile = TileId{i, 0};
     ASSERT_TRUE(h.client.Send(request).ok());
   }
+  // A scrape pipelined into the full queue is exempt from shedding: it
+  // is answered, and its document already counts the sheds before it.
+  NetRequest scrape;
+  scrape.type = NetRequestType::kStats;
+  scrape.request_id = kRequests;
+  scrape.stats_format = NetStatsFormat::kJson;
+  scrape.stats_max_events = 16;
+  ASSERT_TRUE(h.client.Send(scrape).ok());
   int busy = 0;
   int served = 0;
-  for (int i = 0; i < kRequests; ++i) {
+  bool scraped = false;
+  for (int i = 0; i < kRequests + 1; ++i) {
     auto response = h.client.ReadResponse();
     ASSERT_TRUE(response.ok());
-    if (response->code == NetResponseCode::kBusy) {
+    if (response->request_id == scrape.request_id) {
+      ASSERT_EQ(response->code, NetResponseCode::kOk);
+      auto doc = ParseJson(response->payload);
+      ASSERT_TRUE(doc.ok()) << doc.status().message();
+      const JsonValue* metrics = doc->Find("metrics");
+      ASSERT_NE(metrics, nullptr);
+      ASSERT_NE(metrics->Find("counters"), nullptr);
+      for (const JsonValue& counter : metrics->Find("counters")->array) {
+        if (counter.GetString("name") == "net.busy_rejected") {
+          EXPECT_EQ(counter.GetU64("value"),
+                    static_cast<uint64_t>(kRequests - 2));
+          scraped = true;
+        }
+      }
+    } else if (response->code == NetResponseCode::kBusy) {
       ++busy;
     } else {
       ++served;
     }
   }
+  EXPECT_TRUE(scraped);
   EXPECT_EQ(busy, kRequests - 2);
   EXPECT_EQ(served, 2);
   EXPECT_EQ(h.server->metrics().GetCounter("net.busy_rejected")->value(),
@@ -381,6 +407,81 @@ TEST(NetServerTest, BusyWhenGlobalQueueFull) {
   auto after = h.client.Ping();
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after->code, NetResponseCode::kOk);
+}
+
+TEST(NetServerTest, ConcurrentRegionRepliesCarryTheirOwnVersion) {
+  // Clients pull full regions over the wire while the test thread
+  // publishes. Each reply's markers must share one z (a whole version),
+  // that z must be the version the reply is labelled with (a client
+  // asking for the delta from it would otherwise apply patches twice),
+  // and no client may see its version go backwards.
+  MapService service(SmallTileOptions());
+  ASSERT_TRUE(service.Init(VersionMarkerRoad()).ok());
+  TileServer::Options options;
+  options.worker_threads = 2;
+  TileServer server(service, options);
+  ASSERT_TRUE(server.Start().ok());
+
+  constexpr int kClients = 3;
+  constexpr uint64_t kPublishes = 100;
+  std::atomic<bool> stop{false};
+  std::atomic<int> clients_started{0};
+  std::atomic<uint64_t> replies{0}, torn{0}, mislabeled{0}, rollbacks{0},
+      errors{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&] {
+      NetClient client;
+      bool connected = client.Connect("127.0.0.1", server.port()).ok();
+      clients_started.fetch_add(1);
+      if (!connected) {
+        errors.fetch_add(1);
+        return;
+      }
+      uint64_t last = 0;
+      while (!stop.load(std::memory_order_relaxed)) {
+        auto response = client.GetRegion(kVersionMarkerBox);
+        if (!response.ok()) {
+          errors.fetch_add(1);
+          return;
+        }
+        if (response->code != NetResponseCode::kOk) {
+          errors.fetch_add(1);
+          continue;
+        }
+        replies.fetch_add(1, std::memory_order_relaxed);
+        auto view = TileView::Create(response->payload);
+        if (!view.ok()) {
+          errors.fetch_add(1);
+          continue;
+        }
+        uint64_t version = MarkerVersion(*view);
+        if (version == 0) torn.fetch_add(1, std::memory_order_relaxed);
+        if (version != response->version) {
+          mislabeled.fetch_add(1, std::memory_order_relaxed);
+        }
+        if (response->version < last) {
+          rollbacks.fetch_add(1, std::memory_order_relaxed);
+        }
+        last = response->version;
+      }
+    });
+  }
+  while (clients_started.load() < kClients) std::this_thread::yield();
+  for (uint64_t v = 2; v <= kPublishes + 1; ++v) {
+    Status published = service.ApplyPatch(VersionMarkerPatch(v));
+    EXPECT_TRUE(published.ok()) << published.ToString();
+    if (!published.ok()) break;
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (std::thread& t : clients) t.join();
+  server.Stop();
+
+  EXPECT_GE(replies.load(), static_cast<uint64_t>(kClients));
+  EXPECT_EQ(torn.load(), 0u);
+  EXPECT_EQ(mislabeled.load(), 0u);
+  EXPECT_EQ(rollbacks.load(), 0u);
+  EXPECT_EQ(errors.load(), 0u);
 }
 
 TEST(NetServerTest, BusyAtPerConnectionCap) {
@@ -661,6 +762,39 @@ TEST(NetServerTest, TracePropagationOffKeepsServerTraceSeparate) {
     }
   }
   EXPECT_TRUE(server_rooted_fresh);
+  recorder.Configure(TraceRecorder::Options{});
+}
+
+TEST(NetServerTest, UnsampledTracePropagationAddsOnlyTheTraceBlock) {
+  // Recorder on, head sampling and the slow path off: trace ids ride the
+  // wire and nothing records. Propagation then costs each request frame
+  // exactly the trace block, and no span on either side.
+  TraceRecorder& recorder = TraceRecorder::Global();
+  TraceRecorder::Options trace_options;
+  trace_options.enabled = true;
+  trace_options.sample_every_n = 0;
+  trace_options.slow_threshold_s = 0.0;
+  recorder.Configure(trace_options);
+  const uint64_t recorded_before = recorder.recorded();
+
+  Harness h;
+  TileId id = h.service.snapshot()->tiles.AllTiles().front();
+  Counter* bytes_in = h.server->metrics().GetCounter("net.bytes_in");
+  constexpr uint64_t kCalls = 20;
+  auto bytes_in_for = [&](bool propagate) {
+    h.client.set_propagate_trace(propagate);
+    uint64_t before = bytes_in->value();
+    for (uint64_t i = 0; i < kCalls; ++i) {
+      auto response = h.client.GetTile(id);
+      EXPECT_TRUE(response.ok() && response->code == NetResponseCode::kOk);
+    }
+    return bytes_in->value() - before;
+  };
+  uint64_t untraced = bytes_in_for(false);
+  uint64_t traced = bytes_in_for(true);
+  EXPECT_EQ(traced, untraced + kCalls * kNetTraceBlockSize);
+  EXPECT_EQ(recorder.recorded(), recorded_before);
+  EXPECT_TRUE(recorder.Snapshot().empty());
   recorder.Configure(TraceRecorder::Options{});
 }
 

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
@@ -269,36 +270,42 @@ TEST(SnapshotStoreTest, WriteFailureLeavesPreviousStateServable) {
 
 // --- Mmap checkpoint read path ---
 
-TEST(SnapshotStoreTest, OpenMappedServesViewsZeroCopy) {
+TEST(SnapshotStoreTest, CheckpointViewsAreZeroCopyOverMappedTiles) {
   ScopedTempDir dir("mmap_open");
   HdMap world = StraightRoad(500.0);
   TileStore tiles = BuildTiles(world, 100.0);
   SnapshotStore store({.data_dir = dir.str(), .fsync = FsyncMode::kNever});
   ASSERT_TRUE(store.WriteCheckpoint(tiles, 7, 123).ok());
 
-  auto mapped = store.OpenMapped(7);
-  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  EXPECT_EQ(mapped->version, 7u);
-  EXPECT_EQ(mapped->published_unix_ms, 123);
-  EXPECT_EQ(mapped->tile_size_m, tiles.tile_size());
-  ASSERT_EQ(mapped->tiles.size(), tiles.NumTiles());
+  auto rec = store.LoadCheckpoint(7, TileStore::Options{});
+  ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+  EXPECT_EQ(rec->version, 7u);
+  EXPECT_EQ(rec->published_unix_ms, 123);
+  EXPECT_EQ(rec->tiles.tile_size(), tiles.tile_size());
+  ASSERT_EQ(rec->tiles.NumTiles(), tiles.NumTiles());
 
-  // Every mapped tile is byte-identical to the store's and serves views.
+  // Every recovered tile is byte-identical to the written one, and its
+  // view reads the pinned file bytes in place: no copy between the
+  // mapping and the view.
+  const std::map<uint64_t, std::string> written = tiles.RawTilesCopy();
   size_t lanelets_seen = 0;
-  for (const auto& [morton, bytes] : mapped->tiles) {
-    EXPECT_EQ(std::string(bytes.view()),
-              tiles.RawTilesCopy().at(morton));
-    auto view = mapped->View(morton);
+  for (const TileId& id : rec->tiles.AllTiles()) {
+    auto bytes = rec->tiles.RawTileBytes(id);
+    ASSERT_TRUE(bytes.ok());
+    EXPECT_EQ(std::string(bytes->view()), written.at(id.Morton()));
+    auto view = rec->tiles.GetTileView(id);
     ASSERT_TRUE(view.ok()) << view.status().ToString();
+    EXPECT_EQ(view->bytes.data(), bytes->data());
     lanelets_seen += view->view.num_lanelets();
   }
   // A lanelet rides in every tile it overlaps, so the per-tile sum is a
   // lower-bounded over-count.
   EXPECT_GE(lanelets_seen, world.lanelets().size());
-  EXPECT_EQ(mapped->View(0xDEAD).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(rec->tiles.GetTileView(TileId{999, 999}).status().code(),
+            StatusCode::kNotFound);
 }
 
-TEST(SnapshotStoreTest, OpenMappedDetectsCorruptionAtOpen) {
+TEST(SnapshotStoreTest, CheckpointLoadDetectsCorruptTile) {
   ScopedTempDir dir("mmap_corrupt");
   TileStore tiles = BuildTiles(StraightRoad(300.0));
   SnapshotStore store({.data_dir = dir.str(), .fsync = FsyncMode::kNever});
@@ -309,9 +316,10 @@ TEST(SnapshotStoreTest, OpenMappedDetectsCorruptionAtOpen) {
       break;
     }
   }
-  // The once-per-generation CRC pass runs at open, so corruption is
-  // caught here — views later skip the checksum (FrameChecksum::kTrust).
-  EXPECT_EQ(store.OpenMapped(1).status().code(), StatusCode::kDataLoss);
+  // Every mapped tile passes its frame CRC at load, so corruption is
+  // caught before the checkpoint can serve a single view.
+  EXPECT_EQ(store.LoadCheckpoint(1, TileStore::Options{}).status().code(),
+            StatusCode::kDataLoss);
 }
 
 TEST(SnapshotStoreTest, MappedViewsSurviveRetentionDelete) {
@@ -322,15 +330,15 @@ TEST(SnapshotStoreTest, MappedViewsSurviveRetentionDelete) {
       {.data_dir = dir.str(), .fsync = FsyncMode::kNever, .retention = 1});
   ASSERT_TRUE(store.WriteCheckpoint(tiles, 1, 10).ok());
 
-  auto mapped = store.OpenMapped(1);
-  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  ASSERT_FALSE(mapped->tiles.empty());
-  uint64_t first = mapped->tiles.begin()->first;
-  auto held = mapped->View(first);
+  auto rec = store.LoadCheckpoint(1, TileStore::Options{});
+  ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+  std::vector<TileId> ids = rec->tiles.AllTiles();
+  ASSERT_FALSE(ids.empty());
+  auto held = rec->tiles.GetTileView(ids.front());
   ASSERT_TRUE(held.ok());
 
   // Two more checkpoints: retention=1 unlinks v1's directory from disk
-  // while `mapped` still pins its pages.
+  // while `rec` still pins its pages.
   ASSERT_TRUE(store.WriteCheckpoint(tiles, 2, 20).ok());
   ASSERT_TRUE(store.WriteCheckpoint(tiles, 3, 30).ok());
   ASSERT_FALSE(fs::exists(store.CheckpointDir(1)));
@@ -341,15 +349,15 @@ TEST(SnapshotStoreTest, MappedViewsSurviveRetentionDelete) {
   auto materialized = held->view.Materialize();
   ASSERT_TRUE(materialized.ok()) << materialized.status().ToString();
   size_t lanelets_seen = 0;
-  for (const auto& [morton, bytes] : mapped->tiles) {
-    auto view = mapped->View(morton);
+  for (const TileId& id : ids) {
+    auto view = rec->tiles.GetTileView(id);
     ASSERT_TRUE(view.ok());
     lanelets_seen += view->view.num_lanelets();
   }
   EXPECT_GE(lanelets_seen, world.lanelets().size());
 }
 
-TEST(SnapshotStoreTest, OpenMappedFramedNonTileBlobFailsView) {
+TEST(SnapshotStoreTest, CheckpointFramedNonTileBlobFailsLoad) {
   ScopedTempDir dir("mmap_non_tile");
   HdMap world = StraightRoad(300.0);
   TileStore tiles = BuildTiles(world, 100.0);
@@ -358,28 +366,29 @@ TEST(SnapshotStoreTest, OpenMappedFramedNonTileBlobFailsView) {
   SnapshotStore store({.data_dir = dir.str(), .fsync = FsyncMode::kNever});
   ASSERT_TRUE(store.WriteCheckpoint(tiles, 1, 10).ok());
 
-  // The generation opens (the frame CRC is intact), but a payload that
-  // is not a v3 tile is never served as one.
-  auto mapped = store.OpenMapped(1);
-  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  EXPECT_EQ(mapped->View(id.Morton()).status().code(), StatusCode::kDataLoss);
+  // The frame CRC is intact, but a payload that is not a v3 tile fails
+  // the load: it is never served as one.
+  EXPECT_EQ(store.LoadCheckpoint(1, TileStore::Options{}).status().code(),
+            StatusCode::kDataLoss);
 }
 
 TEST(SnapshotStoreConcurrencyTest, ConcurrentMappedReadersSurviveSwaps) {
-  // Readers walk a pinned checkpoint generation while the writer keeps
-  // publishing new checkpoints and retention keeps deleting old ones —
-  // including the generation being read. Under TSan this is the proof
-  // that the mmap read path needs no reader/writer synchronization
-  // (generation pinning); in any build it verifies reads stay valid
-  // through swap + unlink.
+  // Readers walk a recovered, mmap-backed checkpoint generation while the
+  // writer keeps publishing new checkpoints and retention keeps deleting
+  // old ones — including the generation being read. Under TSan this is
+  // the proof that the mmap read path needs no reader/writer
+  // synchronization (generation pinning); in any build it verifies reads
+  // stay valid through swap + unlink.
   ScopedTempDir dir("mmap_concurrent");
   HdMap world = StraightRoad(400.0);
   TileStore tiles = BuildTiles(world, 100.0);
   SnapshotStore store(
       {.data_dir = dir.str(), .fsync = FsyncMode::kNever, .retention = 1});
   ASSERT_TRUE(store.WriteCheckpoint(tiles, 1, 10).ok());
-  auto mapped = store.OpenMapped(1);
-  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  auto rec = store.LoadCheckpoint(1, TileStore::Options{});
+  ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+  const TileStore& mapped = rec->tiles;
+  const std::vector<TileId> ids = mapped.AllTiles();
 
   constexpr int kReaders = 4;
   std::atomic<bool> stop{false};
@@ -387,10 +396,10 @@ TEST(SnapshotStoreConcurrencyTest, ConcurrentMappedReadersSurviveSwaps) {
   std::vector<std::thread> readers;
   readers.reserve(kReaders);
   for (int r = 0; r < kReaders; ++r) {
-    readers.emplace_back([&mapped, &bad_reads, &stop] {
+    readers.emplace_back([&mapped, &ids, &bad_reads, &stop] {
       while (!stop.load(std::memory_order_relaxed)) {
-        for (const auto& [morton, bytes] : mapped->tiles) {
-          auto view = mapped->View(morton);
+        for (const TileId& id : ids) {
+          auto view = mapped.GetTileView(id);
           if (!view.ok() || !view->view.Materialize().ok()) {
             bad_reads.fetch_add(1, std::memory_order_relaxed);
           }

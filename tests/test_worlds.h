@@ -2,9 +2,12 @@
 #define HDMAP_TESTS_TEST_WORLDS_H_
 
 #include <algorithm>
+#include <cstdint>
 
 #include "common/rng.h"
 #include "core/hd_map.h"
+#include "core/map_patch.h"
+#include "core/tile_view.h"
 #include "sim/road_network_generator.h"
 
 namespace hdmap {
@@ -80,6 +83,63 @@ inline HdMap SmallTownWorld(uint64_t seed = 17, int rows = 3, int cols = 3) {
   opt.grid_cols = cols;
   auto town = GenerateTown(opt, rng);
   return town.ok() ? std::move(town).value() : HdMap();
+}
+
+/// Whole-version fixture: a 400 m StraightRoad carrying six marker
+/// landmarks at x = 40 + 55 i whose z is the map version. The markers
+/// straddle 100 m tiles, so a region stitched from two versions shows
+/// markers that disagree on z. Every marker starts at z = 1, the version
+/// Init publishes.
+inline constexpr ElementId kFirstVersionMarkerId = 900001;
+inline constexpr int kNumVersionMarkers = 6;
+/// A query box spanning every marker (and several tile borders).
+inline const Aabb kVersionMarkerBox{{0.0, -10.0}, {400.0, 12.0}};
+
+inline Vec3 VersionMarkerPosition(int i, uint64_t version) {
+  return {40.0 + 55.0 * i, 6.0, static_cast<double>(version)};
+}
+
+inline HdMap VersionMarkerRoad() {
+  HdMap world = StraightRoad(400.0);
+  for (int i = 0; i < kNumVersionMarkers; ++i) {
+    Landmark marker;
+    marker.id = kFirstVersionMarkerId + i;
+    marker.type = LandmarkType::kTrafficSign;
+    marker.subtype = "version_marker";
+    marker.position = VersionMarkerPosition(i, 1);
+    (void)world.AddLandmark(std::move(marker));
+  }
+  return world;
+}
+
+/// The patch publishing `version`: every marker moves to z = version.
+inline MapPatch VersionMarkerPatch(uint64_t version) {
+  MapPatch patch;
+  for (int i = 0; i < kNumVersionMarkers; ++i) {
+    patch.moved_landmarks.push_back(
+        {kFirstVersionMarkerId + i, VersionMarkerPosition(i, version)});
+  }
+  return patch;
+}
+
+inline Vec3 MarkerPosition(const Landmark& marker) { return marker.position; }
+inline Vec3 MarkerPosition(const LandmarkView& marker) {
+  return marker.position();
+}
+
+/// The version every marker in `region` (an HdMap or a TileView)
+/// carries, or 0 when a marker is missing or two disagree (a torn read).
+template <typename Region>
+uint64_t MarkerVersion(const Region& region) {
+  uint64_t version = 0;
+  for (int i = 0; i < kNumVersionMarkers; ++i) {
+    auto marker = region.FindLandmark(kFirstVersionMarkerId + i);
+    if (!marker) return 0;
+    auto z = static_cast<uint64_t>(MarkerPosition(*marker).z);
+    if (i > 0 && z != version) return 0;
+    version = z;
+  }
+  return version;
 }
 
 }  // namespace hdmap
